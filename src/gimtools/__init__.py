@@ -30,6 +30,7 @@ from .errors import (
     InvalidBandwidth,
     InvalidLevel,
     InvalidProbability,
+    InvalidStdError,
     NegativeIncome,
     NonFinite,
     OrderExceedsSample,
@@ -138,6 +139,7 @@ __all__ = [
     "ZeroMean",
     "EnumerationTooLarge",
     "InvalidLevel",
+    "InvalidStdError",
     "QuadratureNoConvergence",
     "OutOfSupport",
     "InvalidProbability",

@@ -47,6 +47,10 @@ class InvalidLevel(GimError):
     """Raised for confidence levels outside (0, 1)."""
 
 
+class InvalidStdError(GimError):
+    """Raised for a standard error that is NaN, infinite or negative."""
+
+
 class QuadratureNoConvergence(GimError):
     """Raised when panel doubling fails to reach the requested tolerance."""
 

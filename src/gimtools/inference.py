@@ -21,13 +21,14 @@ tracks the true sampling variance closely and is the recommended default.
 Both are reported so the two can be compared side by side.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import ndtri
 
 from . import quadrature
-from .errors import InvalidLevel, SampleTooSmall, ZeroMean
+from .errors import InvalidLevel, InvalidStdError, SampleTooSmall, ZeroMean
 from .measures import edf_weights, gim_ustat, subset_weights
 from .samples import as_sample
 
@@ -203,10 +204,15 @@ def confidence_interval(point, ve, level=0.95):
 
     Returns a copy of ``ve`` with ``level``, ``ci_low`` and ``ci_high``
     filled: point -/+ z * std_error with z the (1+level)/2 standard normal
-    quantile, clamped to [0, 1] since the measure lives there.
+    quantile, clamped to [0, 1] since the measure lives there.  A NaN,
+    infinite or negative ``std_error`` raises InvalidStdError.
     """
     if not 0.0 < level < 1.0:
         raise InvalidLevel(f"confidence level must be inside (0, 1), got {level!r}")
+    if not 0.0 <= ve.std_error < math.inf:
+        raise InvalidStdError(
+            f"std_error must be finite and non-negative, got {ve.std_error!r}"
+        )
     z = float(ndtri((1.0 + level) / 2.0))
     low = min(max(point - z * ve.std_error, 0.0), 1.0)
     high = min(max(point + z * ve.std_error, 0.0), 1.0)

@@ -65,7 +65,7 @@ class PremiaReport:
 
 
 def _check_order(n, v):
-    if not isinstance(v, (int, np.integer)) or v < 1:
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
         raise OrderExceedsSample(f"order v must be a positive integer, got {v!r}")
     if v > n:
         raise OrderExceedsSample(f"order v={v} exceeds sample size n={n}")
@@ -84,9 +84,11 @@ def subset_weights(n, v):
 
     both unbiasedly.
 
-    Weights are produced by a multiplicative downward recurrence on the
-    ratio w_max[i-1]/w_max[i] = (i-v)/(i-1), never through factorials, so
-    they stay finite for any n representable in memory.
+    Weights are never formed from factorials, so they stay finite for any n
+    representable in memory.  Starting from w_max[n] = v/n, each step down
+    multiplies by the ratio w_max[i-1]/w_max[i] = (i-v)/(i-1); the whole
+    tail w_max[v..n] is one cumulative product of the factors
+    [v/n, (n-v)/(n-1), ..., 1/v], read from the top index down.
 
     Parameters
     ----------
@@ -103,12 +105,16 @@ def subset_weights(n, v):
     """
     _check_order(n, v)
     w_max = np.zeros(n)
-    w_max[n - 1] = v / n
     # w_max[i] = C(i-1, v-1)/C(n, v); stepping i -> i-1 multiplies by (i-v)/(i-1).
-    # The ratio is formed first so a ratio of exactly 1 (v = 1) leaves the
+    # The factors are written into the tail, top index first, and the running
+    # product overwrites them, so at most one length-n temporary is alive.
+    # Each ratio is formed first so a ratio of exactly 1 (v = 1) leaves the
     # weight bit-identical instead of drifting through a round trip.
-    for i in range(n, v, -1):
-        w_max[i - 2] = w_max[i - 1] * ((i - v) / (i - 1))
+    tail = w_max[v - 1:][::-1]
+    tail[0] = v / n
+    tail[1:] = np.arange(n - v, 0, -1, dtype=float)  # i - v for i = n .. v+1
+    tail[1:] /= np.arange(n - 1, v - 1, -1, dtype=float)  # i - 1
+    np.multiply.accumulate(tail, out=tail)
     w_min = w_max[::-1].copy()
     return w_max, w_min
 

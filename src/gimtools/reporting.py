@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EmptyColumn, InvalidBandwidth, NegativeIncome, ParseError
+from .errors import EmptyColumn, InvalidBandwidth, NegativeIncome, NonFinite, ParseError
 from .inference import confidence_interval, jackknife_variance, ustat_variance
 from .measures import gim_ustat, gini_ustat
 from .samples import as_sample, make_sample
@@ -54,6 +54,8 @@ def ingest_csv(path, column=0, delimiter=",", has_header=True):
         (the error carries the 1-based line number where applicable).
     NegativeIncome
         If a cell parses to a negative number (with its line number).
+    NonFinite
+        If a cell parses to NaN or +inf (with its line number).
     EmptyColumn
         If no usable values remain.
     """
@@ -104,8 +106,10 @@ def ingest_csv(path, column=0, delimiter=",", has_header=True):
                 value = float(cell)
             except ValueError:
                 raise ParseError(f"not a number: {cell!r}", line=line) from None
-            if value < 0:
-                raise NegativeIncome(f"line {line}: negative income {value!r}")
+            if not 0.0 <= value < math.inf:
+                if value < 0:
+                    raise NegativeIncome(f"line {line}: negative income {value!r}")
+                raise NonFinite(f"line {line}: non-finite income {value!r}")
             values.append(value)
 
     if not values:

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import _MIN_UNIFORM, FAMILIES, SeededStream, theoretical_gim
-from .errors import EmptyGrid, OrderExceedsSample, ParseError
-from .measures import edf_weights, subset_weights
+from .errors import EmptyGrid, ParseError
+from .measures import _check_order, edf_weights, subset_weights
 
 _CHUNK = 512  # replications per work unit; also the sampling batch size
 DEFAULT_SIZES = (20, 40, 60, 80, 100, 200)
@@ -42,8 +42,7 @@ class SimCell:
     def __post_init__(self):
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
-        if self.v > self.n:
-            raise OrderExceedsSample(f"cell has v={self.v} > n={self.n}")
+        _check_order(self.n, self.v)
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,12 @@ from numpy.testing import assert_allclose
 from gimtools import (
     Exponential,
     InvalidLevel,
+    InvalidStdError,
     Lognormal,
     Pareto,
     SampleTooSmall,
     SeededStream,
+    VarianceEstimate,
     ZeroMean,
     confidence_interval,
     draw_sample,
@@ -234,6 +236,13 @@ def test_confidence_interval_level_validation():
     for bad in (0.0, 1.0, -0.5, 1.7):
         with pytest.raises(InvalidLevel):
             confidence_interval(0.5, ve, level=bad)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1])
+def test_confidence_interval_rejects_bad_std_error(bad):
+    ve = VarianceEstimate(variance=0.01, method="jackknife", std_error=bad)
+    with pytest.raises(InvalidStdError, match="std_error"):
+        confidence_interval(0.5, ve)
 
 
 def test_confidence_interval_widens_with_level():

@@ -28,6 +28,7 @@ from gimtools import (
     subset_weights,
 )
 from gimtools.measures import edf_weights
+from gimtools.simulation import DEFAULT_ORDERS, DEFAULT_SIZES
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -92,6 +93,43 @@ def test_subset_weights_match_binomials(n, v):
     assert_allclose(w_min.sum(), 1.0, rtol=1e-12)
 
 
+def _subset_weights_loop(n, v):
+    """Scalar downward recurrence for w_max, one multiply per step.
+
+    Test oracle for the vectorised :func:`subset_weights`, which must
+    multiply the same factors in the same order and so match it bit for bit.
+    """
+    w_max = np.zeros(n)
+    w_max[n - 1] = v / n
+    for i in range(n, v, -1):
+        w_max[i - 2] = w_max[i - 1] * ((i - v) / (i - 1))
+    return w_max
+
+
+def _assert_weights_match_loop(n, v):
+    w_max, w_min = subset_weights(n, v)
+    expect = _subset_weights_loop(n, v)
+    assert w_max.tobytes() == expect.tobytes()
+    assert w_min.tobytes() == expect[::-1].tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5000).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))))
+def test_subset_weights_bit_identical_to_loop(nv):
+    _assert_weights_match_loop(*nv)
+
+
+@pytest.mark.parametrize(
+    "n,v",
+    [(999_001, v) for v in (2, 3, 4)]
+    + [(n, v) for n in DEFAULT_SIZES for v in DEFAULT_ORDERS],
+)
+def test_subset_weights_bit_identical_to_loop_fixed(n, v):
+    # the default simulate grid and a report-sized n: simulate's
+    # byte-identical output rests on these weights not moving
+    _assert_weights_match_loop(n, v)
+
+
 def test_subset_weights_large_n_no_overflow():
     # factorial-free recurrence must survive n far beyond comb() comfort
     w_max, _ = subset_weights(10**6, 4)
@@ -104,6 +142,9 @@ def test_subset_weights_rejects_bad_order():
         subset_weights(3, 4)
     with pytest.raises(OrderExceedsSample):
         subset_weights(3, 0)
+    # bool is an int subclass; True must not pass as v = 1
+    with pytest.raises(OrderExceedsSample, match="positive integer"):
+        subset_weights(3, True)
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +399,8 @@ def test_order_validation_applies_to_both_estimators():
             fn(s, 3)
         with pytest.raises(OrderExceedsSample):
             fn(s, 0)
+        with pytest.raises(OrderExceedsSample, match="positive integer"):
+            fn(s, True)
 
 
 # ---------------------------------------------------------------------------

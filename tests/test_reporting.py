@@ -9,6 +9,7 @@ from gimtools import (
     Exponential,
     InvalidBandwidth,
     NegativeIncome,
+    NonFinite,
     ParseError,
     SeededStream,
     describe,
@@ -67,6 +68,13 @@ def test_ingest_custom_delimiter(tmp_path):
 def test_ingest_negative_reports_line(tmp_path):
     path = write(tmp_path, "income\n10\n-3\n")
     with pytest.raises(NegativeIncome, match="line 3"):
+        ingest_csv(path, column="income")
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "NaN"])
+def test_ingest_non_finite_reports_line(tmp_path, cell):
+    path = write(tmp_path, f"income\n10\n20\n{cell}\n30\n")
+    with pytest.raises(NonFinite, match="line 4"):
         ingest_csv(path, column="income")
 
 

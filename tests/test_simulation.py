@@ -87,6 +87,9 @@ def test_sim_cell_validation():
         SimCell(Exponential(1.0), n=10, v=2, replications=0)
     with pytest.raises(OrderExceedsSample):
         SimCell(Exponential(1.0), n=2, v=3)
+    for bad in (0, -1, 2.0, True):
+        with pytest.raises(OrderExceedsSample):
+            SimCell(Exponential(1.0), n=10, v=bad)
 
 
 # ---------------------------------------------------------------------------
