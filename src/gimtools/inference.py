@@ -28,12 +28,11 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import quadrature
-from .errors import InvalidLevel, InvalidStdError, SampleTooSmall, ZeroMean
-from .measures import edf_weights, gim_ustat, subset_weights
+from .errors import InvalidLevel, InvalidStdError, SampleTooSmall
+from .measures import extreme_weights, gim_ratio, gim_ustat
 from .samples import as_sample
 
 METHODS = ("plugin", "jackknife")
-KINDS = ("ustat", "edf")
 
 
 @dataclass(frozen=True)
@@ -137,9 +136,11 @@ def leave_one_out(s, v, kind="ustat"):
     Deleting the observation at sorted position k leaves a sorted sample of
     size n-1 in which positions below k keep their weight index and
     positions above k shift down by one.  Prefix/suffix sums over the
-    size-(n-1) weight arrays therefore give every leave-one-out numerator
-    and denominator in one pass; this is the exact delete-1 recomputation,
-    not an approximation.
+    size-(n-1) weight pair of :func:`~gimtools.measures.extreme_weights`
+    therefore give every leave-one-out max and min moment in one pass; this
+    is the exact delete-1 recomputation, not an approximation.  The sample
+    is scaled by the power of two that brings its maximum into [0.5, 1)
+    first, so the sums cannot overflow.
 
     Returns
     -------
@@ -147,20 +148,14 @@ def leave_one_out(s, v, kind="ustat"):
         ``out[k]`` is the estimate with sorted observation k removed.
     """
     s = as_sample(s)
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     n = s.n
     m = n - 1
     if m < v or m < 1:
         raise SampleTooSmall(
             f"leave-one-out of order v={v} needs at least {v + 1} observations"
         )
-    if kind == "ustat":
-        w_max, w_min = subset_weights(m, v)
-        w_num, w_den = w_max - w_min, w_max + w_min
-    else:
-        w_num, w_den = edf_weights(m, v)
-    x = s.values
+    w_hi, w_lo = extreme_weights(kind, m, v)
+    x = np.ldexp(s.values, -np.frexp(s.values[-1])[1])
 
     def loo_sums(w):
         kept = w * x[:m]       # weight j applied to position j   (j < k)
@@ -169,11 +164,7 @@ def leave_one_out(s, v, kind="ustat"):
         suffix = np.concatenate((np.cumsum(shifted[::-1])[::-1], [0.0]))
         return prefix + suffix
 
-    numerators = loo_sums(w_num)
-    denominators = loo_sums(w_den)
-    if np.any(denominators == 0.0):
-        raise ZeroMean("a leave-one-out subsample has all-zero incomes")
-    return numerators / denominators
+    return gim_ratio(loo_sums(w_hi), loo_sums(w_lo))[0]
 
 
 def jackknife_variance(s, v, kind="ustat"):

@@ -15,6 +15,11 @@ estimators are provided:
   distribution function into the population integrals, a ratio of two
   L-statistics.
 
+Both are estimates of the same two moments, so each estimator kind is just
+a pair of order-statistic weights (``extreme_weights``), and one summation
+core (``extreme_sums``) serves both estimators, the O(n) jackknife and the
+batched Monte Carlo harness alike.
+
 ``gim_ustat_naive`` enumerates the subsets literally and exists purely as a
 test oracle for the weighted form.
 """
@@ -35,6 +40,9 @@ class GimEstimate:
 
     ``numerator`` estimates E(max - min) and ``denominator`` E(max + min);
     ``value`` is their ratio.  ``kind`` is ``"ustat"`` or ``"edf"``.
+    ``value`` is formed from power-of-two-scaled sums, so it stays correct
+    when E(max + min) exceeds the float range; ``numerator`` and
+    ``denominator`` then read ``inf``.
     """
 
     value: float
@@ -119,21 +127,104 @@ def subset_weights(n, v):
     return w_max, w_min
 
 
-def _extreme_sums(s, v):
-    """Max/min moment estimates sharing one summation layout.
+KINDS = ("ustat", "edf")
 
-    The min-of-v moment is accumulated as sum(w_max * x[::-1]) — the same
-    multiset of products as sum(w_min * x) — so that on a constant sample
-    the two product vectors are bitwise identical and the estimated range
-    is exactly zero.  At v = 1 max and min are the same statistic, so the
-    same float is returned for both.
+
+def extreme_weights(kind, n, v):
+    """Order-statistic weights of one estimator kind, as a (w_hi, w_lo) pair.
+
+    Summed against a sample sorted ascending, ``w_hi`` estimates
+    E(max of v) and ``w_lo`` estimates E(min of v); every GIM estimator is
+    the ratio of their difference to their sum (see :func:`extreme_sums`).
+
+    * ``"ustat"``: the unbiased subset weights of :func:`subset_weights`;
+    * ``"edf"``: the plug-in weights (v/n) * (i/n)^(v-1) and
+      (v/n) * ((n-i)/n)^(v-1), i = 1..n.  Powers of ratios never leave the
+      unit interval, so any n and v are safe.
     """
-    w_max, _ = subset_weights(s.n, v)
-    e_max = float(np.sum(w_max * s.values))
+    if kind == "ustat":
+        return subset_weights(n, v)
+    if kind == "edf":
+        _check_order(n, v)
+        i = np.arange(1, n + 1, dtype=float)
+        scale = v / n
+        return scale * (i / n) ** (v - 1), scale * ((n - i) / n) ** (v - 1)
+    raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+
+
+def extreme_sums(x, w_hi, w_lo, v):
+    """Max/min moment sums over the last axis, sharing one summation layout.
+
+    ``x`` is one sample sorted ascending, or a 2-D batch of such rows, and
+    ``(w_hi, w_lo)`` come from :func:`extreme_weights`.  Each row is first
+    scaled by the power of two 2**-exponent that brings its maximum into
+    [0.5, 1).  That is exact, so no in-range bit moves, and the sums cannot
+    overflow.  Returns ``(e_max, e_min, exponent)``: the moment estimates
+    are ``e_max * 2**exponent`` and ``e_min * 2**exponent``.
+
+    The min-of-v moment is accumulated as sum(w_lo[::-1] * x[::-1]).  For
+    the U-statistic ``w_lo[::-1]`` is ``w_hi`` itself, so on a constant
+    sample the two product vectors are bitwise identical and the estimated
+    range is exactly zero.  At v = 1 max and min are the same statistic,
+    so the max side is returned for both.
+    """
+    exponent = np.frexp(x[..., -1:])[1]
+    # One scratch array, scaled and multiplied in place: at simulation batch
+    # sizes a fresh temporary per product costs more than the arithmetic.
+    scratch = np.ldexp(x, -exponent)
+    np.multiply(scratch, w_hi, out=scratch)
+    e_max = np.sum(scratch, axis=-1)
     if v == 1:
-        return e_max, e_max
-    e_min = float(np.sum(w_max * s.values[::-1]))
-    return e_max, e_min
+        return e_max, e_max, exponent[..., 0]
+    np.ldexp(x[..., ::-1], -exponent, out=scratch)
+    np.multiply(scratch, w_lo[::-1], out=scratch)
+    return e_max, np.sum(scratch, axis=-1), exponent[..., 0]
+
+
+def gim_ratio(e_max, e_min):
+    """GIM from extreme-moment estimates: ``(value, numerator, denominator)``.
+
+    Works elementwise.  The numerator is floored at zero: the kernel
+    max - min is pointwise non-negative, so a negative difference is
+    rounding noise from a (nearly) constant sample.  With both moments
+    non-negative, the value cannot leave [0, 1] even in floating point.
+
+    Raises
+    ------
+    ZeroMean
+        Where a denominator is zero (every income is zero).
+    """
+    numerator = np.maximum(e_max - e_min, 0.0)
+    denominator = e_max + e_min
+    if np.any(denominator == 0.0):
+        raise ZeroMean("GIM undefined for an all-zero sample")
+    return numerator / denominator, numerator, denominator
+
+
+def _unscale(total, exponent):
+    """``total * 2**exponent`` as a float: inf, without a warning, past the range."""
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(total, exponent))
+
+
+def _ustat_sums(s, v):
+    """Scaled U-statistic moment sums of order v (see :func:`extreme_sums`)."""
+    return extreme_sums(s.values, *extreme_weights("ustat", s.n, v), v)
+
+
+def _estimate(kind, s, v):
+    """The :class:`GimEstimate` of one estimator kind on a sample."""
+    s = as_sample(s)
+    e_max, e_min, exponent = extreme_sums(s.values, *extreme_weights(kind, s.n, v), v)
+    value, numerator, denominator = gim_ratio(e_max, e_min)
+    return GimEstimate(
+        value=float(value),
+        numerator=_unscale(numerator, exponent),
+        denominator=_unscale(denominator, exponent),
+        kind=kind,
+        n=s.n,
+        v=int(v),
+    )
 
 
 def max_moment_u(s, v):
@@ -144,13 +235,15 @@ def max_moment_u(s, v):
     :func:`subset_weights`).
     """
     s = as_sample(s)
-    return _extreme_sums(s, v)[0]
+    e_max, _, exponent = _ustat_sums(s, v)
+    return _unscale(e_max, exponent)
 
 
 def min_moment_u(s, v):
     """Unbiased estimate of E(min(X_1, ..., X_v)) from a sample."""
     s = as_sample(s)
-    return _extreme_sums(s, v)[1]
+    _, e_min, exponent = _ustat_sums(s, v)
+    return _unscale(e_min, exponent)
 
 
 def gmd(s):
@@ -162,10 +255,10 @@ def gmd(s):
     s = as_sample(s)
     if s.n < 2:
         raise SampleTooSmall("Gini mean difference needs at least 2 observations")
-    e_max, e_min = _extreme_sums(s, 2)
+    e_max, e_min, exponent = _ustat_sums(s, 2)
     # The pair range is pointwise non-negative; a negative difference can
     # only be summation rounding on a (nearly) constant sample.
-    return max(e_max - e_min, 0.0)
+    return _unscale(max(e_max - e_min, 0.0), exponent)
 
 
 def gini_ustat(s):
@@ -193,7 +286,8 @@ def extended_gini(s, v):
     """
     s = as_sample(s)
     _check_order(s.n, v)
-    e_max, e_min = _extreme_sums(s, v)
+    e_max, e_min, exponent = _ustat_sums(s, v)
+    e_max, e_min = _unscale(e_max, exponent), _unscale(e_min, exponent)
     mean = s.mean()
     return PremiaReport(
         mean=mean,
@@ -229,22 +323,7 @@ def gim_ustat(s, v):
     -------
     GimEstimate
     """
-    s = as_sample(s)
-    e_max, e_min = _extreme_sums(s, v)
-    # Floor at zero: the kernel max - min is pointwise non-negative, so a
-    # negative difference is rounding noise from a (nearly) constant sample.
-    numerator = max(e_max - e_min, 0.0)
-    denominator = e_max + e_min
-    if denominator == 0.0:
-        raise ZeroMean("GIM undefined for an all-zero sample")
-    return GimEstimate(
-        value=numerator / denominator,
-        numerator=numerator,
-        denominator=denominator,
-        kind="ustat",
-        n=s.n,
-        v=int(v),
-    )
+    return _estimate("ustat", s, v)
 
 
 _ENUMERATION_GUARD = 10**6
@@ -299,16 +378,11 @@ def edf_weights(n, v):
         w_num[i] = (v/n) * ((i/n)^(v-1) - ((n-i)/n)^(v-1)),
         w_den[i] = (v/n) * ((i/n)^(v-1) + ((n-i)/n)^(v-1)),
 
-    for i = 1..n.  This is the overflow-safe form of the integer weights
-    (i^(v-1) -/+ (n-i)^(v-1)) scaled by v/n^v: powers of ratios never leave
-    the unit interval, so any n and v are safe.
+    for i = 1..n: the difference and sum of the ``"edf"`` pair of
+    :func:`extreme_weights`.
     """
-    _check_order(n, v)
-    i = np.arange(1, n + 1, dtype=float)
-    up = (i / n) ** (v - 1)
-    down = ((n - i) / n) ** (v - 1)
-    scale = v / n
-    return scale * (up - down), scale * (up + down)
+    w_hi, w_lo = extreme_weights("edf", n, v)
+    return w_hi - w_lo, w_hi + w_lo
 
 
 def gim_edf(s, v):
@@ -317,7 +391,7 @@ def gim_edf(s, v):
     Substituting the EDF for the population distribution in the integral
     forms of E(max of v) and E(min of v) turns both into L-statistics:
     linear combinations of order statistics with smooth polynomial weights
-    (see :func:`edf_weights`).  The ratio estimates GIM(v).
+    (see :func:`extreme_weights`).  The ratio estimates GIM(v).
 
     Unlike the U-statistic estimator this one is biased in finite samples
     (for v = 2 the two are linked exactly by
@@ -332,17 +406,4 @@ def gim_edf(s, v):
     ZeroMean
         If every income is zero.
     """
-    s = as_sample(s)
-    w_num, w_den = edf_weights(s.n, v)
-    numerator = float(np.sum(w_num * s.values))
-    denominator = float(np.sum(w_den * s.values))
-    if denominator == 0.0:
-        raise ZeroMean("GIM undefined for an all-zero sample")
-    return GimEstimate(
-        value=numerator / denominator,
-        numerator=numerator,
-        denominator=denominator,
-        kind="edf",
-        n=s.n,
-        v=int(v),
-    )
+    return _estimate("edf", s, v)

@@ -95,12 +95,15 @@ def converge(evaluate, rtol, max_doublings=12, start_levels=6):
     Parameters
     ----------
     evaluate : callable
-        ``evaluate(levels) -> float``; typically wraps
-        :func:`integrate_graded` or a nested scheme built on
-        :func:`graded_panels`.
+        ``evaluate(levels)`` returns a float, or a tuple or array of floats
+        refined together; typically wraps :func:`integrate_graded` or a
+        nested scheme built on :func:`graded_panels`.  Each rung runs with
+        numpy overflow and invalid-value warnings silenced: a rung whose
+        value is not finite raises instead.
     rtol : float
         Stop once two successive ladder values agree to this relative
-        tolerance.
+        tolerance: the largest absolute change is at most ``rtol`` times
+        the largest absolute value.
     max_doublings : int
         Number of doublings to attempt past the first evaluation.
     start_levels : int
@@ -108,30 +111,37 @@ def converge(evaluate, rtol, max_doublings=12, start_levels=6):
 
     Returns
     -------
-    float
-        The last ladder value.
+    float, tuple or ndarray
+        The last ladder value, as ``evaluate`` returned it.
 
     Raises
     ------
     QuadratureNoConvergence
-        If the ladder is exhausted without two successive values agreeing.
-        Agreement only counts between *distinct* meshes: once the depth cap
-        is reached the mesh stops changing, and comparing a mesh to itself
-        would declare convergence for any integrand, however hostile.
+        If a rung's value is not finite, or the ladder is exhausted without
+        two successive values agreeing; the message names the grading
+        depth reached and the last two values.  Agreement only counts
+        between *distinct* meshes: once the depth cap is reached the mesh
+        stops changing, and comparing a mesh to itself would declare
+        convergence for any integrand, however hostile.
     """
     levels = start_levels
-    previous = evaluate(levels)
-    depth = min(levels, MAX_LEVELS)
-    for _ in range(max_doublings):
+    values = []
+    reason = f"no convergence to rtol={rtol:g}"
+    for _ in range(max_doublings + 1):
+        depth = min(levels, MAX_LEVELS)
+        with np.errstate(over="ignore", invalid="ignore"):
+            current = evaluate(levels)
+        values.append(current)
+        if not np.all(np.isfinite(current)):
+            reason = "non-finite value"
+            break
+        if len(values) > 1:
+            change = np.max(np.abs(np.subtract(current, values[-2])))
+            if change <= rtol * max(np.max(np.abs(current)), 1e-300):
+                return current
         levels *= 2
-        next_depth = min(levels, MAX_LEVELS)
-        if next_depth == depth:
+        if min(levels, MAX_LEVELS) == depth:
             break  # grading exhausted; no fresh mesh left to compare
-        depth = next_depth
-        current = evaluate(levels)
-        if abs(current - previous) <= rtol * max(abs(current), 1e-300):
-            return current
-        previous = current
     raise QuadratureNoConvergence(
-        f"no convergence to rtol={rtol:g} after {max_doublings} doublings"
+        f"{reason} at grading depth {depth}; last two values: {values[-2:]}"
     )

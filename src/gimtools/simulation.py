@@ -22,7 +22,7 @@ import numpy as np
 
 from .distributions import _MIN_UNIFORM, FAMILIES, SeededStream, theoretical_gim
 from .errors import EmptyGrid, ParseError
-from .measures import _check_order, edf_weights, subset_weights
+from .measures import _check_order, extreme_sums, extreme_weights, gim_ratio
 
 _CHUNK = 512  # replications per work unit; also the sampling batch size
 DEFAULT_SIZES = (20, 40, 60, 80, 100, 200)
@@ -61,7 +61,6 @@ class SimResult:
 
 def _fill_chunk(cell, lo, hi, weights, est_u, est_edf):
     """Compute estimates for replications [lo, hi) into the output slices."""
-    w_num_u, w_den_u, w_num_e, w_den_e = weights
     n = cell.n
     uniforms = np.empty((hi - lo, n))
     for j, r in enumerate(range(lo, hi)):
@@ -69,8 +68,9 @@ def _fill_chunk(cell, lo, hi, weights, est_u, est_edf):
     np.maximum(uniforms, _MIN_UNIFORM, out=uniforms)
     x = cell.dist._q(uniforms, 1.0 - uniforms)
     x.sort(axis=1)
-    est_u[lo:hi] = np.sum(w_num_u * x, axis=1) / np.sum(w_den_u * x, axis=1)
-    est_edf[lo:hi] = np.sum(w_num_e * x, axis=1) / np.sum(w_den_e * x, axis=1)
+    for est, (w_hi, w_lo) in zip((est_u, est_edf), weights):
+        e_max, e_min, _ = extreme_sums(x, w_hi, w_lo, cell.v)
+        est[lo:hi] = gim_ratio(e_max, e_min)[0]
 
 
 def run_cell(cell, workers=1):
@@ -88,9 +88,7 @@ def run_cell(cell, workers=1):
     SimResult
     """
     truth = theoretical_gim(cell.dist, cell.v)
-    w_max, w_min = subset_weights(cell.n, cell.v)
-    w_num_e, w_den_e = edf_weights(cell.n, cell.v)
-    weights = (w_max - w_min, w_max + w_min, w_num_e, w_den_e)
+    weights = tuple(extreme_weights(kind, cell.n, cell.v) for kind in ("ustat", "edf"))
 
     reps = cell.replications
     est_u = np.empty(reps)

@@ -1,6 +1,7 @@
 """Parametric families: transforms, seeded sampling, theoretical values."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -177,6 +178,22 @@ def test_extremes_closed_vs_quadrature(dist, v):
     closed = theoretical_extremes(dist, v)
     quad = theoretical_extremes(dist, v, force_quadrature=True)
     assert_allclose(quad, closed, rtol=1e-7)
+
+
+def _pareto_gim_exact(shape, v):
+    """GIM(v) of Pareto(shape) by inclusion-exclusion in exact rationals."""
+    a = Fraction(shape)
+    e_max = sum(math.comb(v, k) * (-1) ** (k + 1) * k * a / (k * a - 1) for k in range(1, v + 1))
+    e_min = v * a / (v * a - 1)
+    return (e_max - e_min) / (e_max + e_min)
+
+
+@pytest.mark.parametrize("shape", [1.2, 1.5, 2.2, 3.0, 5.0, 8.0, 10.0, 20.0])
+def test_pareto_gim_matches_exact_rationals(shape):
+    """The float closed form cancels badly past v = 18; quadrature takes over."""
+    for v in range(2, 31):
+        exact = _pareto_gim_exact(shape, v)
+        assert abs(Fraction(theoretical_gim(Pareto(shape, 1.0), v)) - exact) <= 1e-11 * exact
 
 
 def test_lognormal_extremes_closed_vs_quadrature_v2():

@@ -1,6 +1,7 @@
 """Variance machinery: projection plug-in, jackknife, intervals, sigma2."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from gimtools import (
     InvalidStdError,
     Lognormal,
     Pareto,
+    QuadratureNoConvergence,
     SampleTooSmall,
     SeededStream,
     VarianceEstimate,
@@ -189,6 +191,14 @@ def test_jackknife_sample_size_guard():
         jackknife_variance(make_sample([1.0, 2.0, 3.0]), 3)
 
 
+def test_jackknife_near_float_max_matches_rescaled_sample():
+    """Leave-one-out sums used to overflow and collapse the variance to 0.0."""
+    big = jackknife_variance(make_sample([1e308, 1.7e308, 1.5e308, 1.2e308]), 2)
+    ref = jackknife_variance(make_sample([1.0, 1.7, 1.5, 1.2]), 2)
+    assert ref.variance > 0.0
+    assert_allclose(big.variance, ref.variance, rtol=1e-12)
+
+
 def test_jackknife_rejects_unknown_kind():
     with pytest.raises(ValueError):
         jackknife_variance(make_sample([1.0, 2.0, 3.0]), 2, kind="bootstrap")
@@ -284,6 +294,15 @@ def test_sigma2_scales_quadratically():
 
 def test_sigma2_v1_is_zero():
     assert edf_numerator_variance(Exponential(1.0), 1) == 0.0
+
+
+def test_sigma2_heavy_tail_raises_without_numpy_warnings():
+    """Pareto(2.2) overflows the integrand deep in the ladder; that must be a
+    typed failure naming the depth, not thousands of RuntimeWarnings."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureNoConvergence, match="non-finite value at grading depth 768"):
+            edf_numerator_variance(Pareto(2.2, 1.0), 2)
 
 
 def test_sigma2_matches_monte_carlo():

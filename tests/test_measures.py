@@ -27,7 +27,7 @@ from gimtools import (
     min_moment_u,
     subset_weights,
 )
-from gimtools.measures import edf_weights
+from gimtools.measures import KINDS, edf_weights, extreme_sums, extreme_weights
 from gimtools.simulation import DEFAULT_ORDERS, DEFAULT_SIZES
 
 # ---------------------------------------------------------------------------
@@ -264,6 +264,56 @@ def test_gim_scale_invariance(xs, c, v):
     scaled = make_sample(np.asarray(xs) * c)
     assert abs(gim_ustat(scaled, v).value - gim_ustat(s, v).value) <= 1e-12
     assert abs(gim_edf(scaled, v).value - gim_edf(s, v).value) <= 1e-12
+
+
+@given(
+    incomes(),
+    st.integers(min_value=-300, max_value=300),
+    st.floats(min_value=1.0, max_value=10.0),
+    st.integers(min_value=1, max_value=5),
+)
+@settings(max_examples=200, deadline=None)
+def test_gim_scale_invariance_full_range(xs, exponent, mantissa, v):
+    """Scale factors from 1e-300 to 1e300 leave both estimators unchanged."""
+    s = make_sample(xs)
+    v = min(v, s.n)
+    scaled = make_sample(np.asarray(xs) * (mantissa * 10.0**exponent))
+    for estimator in (gim_ustat, gim_edf):
+        assert abs(estimator(scaled, v).value - estimator(s, v).value) <= 1e-12
+
+
+def test_gim_near_float_max_matches_rescaled_sample():
+    """Sums taken at the data's own scale used to overflow to a silent 0.0."""
+    big = [1e308, 1.7e308, 1.5e308]
+    small = [1.0, 1.7, 1.5]
+    for estimator in (gim_ustat, gim_edf):
+        est, ref = estimator(big, 2), estimator(small, 2)
+        assert_allclose(est.value, ref.value, rtol=1e-12)
+        assert_allclose(est.numerator, ref.numerator * 1e308, rtol=1e-12)
+        # E(max + min) itself exceeds the float range
+        assert est.denominator == math.inf
+    assert_allclose(gim_ustat(big, 2).value, 1 / 6, rtol=1e-12)
+    assert_allclose(max_moment_u(big, 2), max_moment_u(small, 2) * 1e308, rtol=1e-12)
+    assert_allclose(gmd(big), gmd(small) * 1e308, rtol=1e-12)
+
+
+@given(
+    st.lists(
+        st.lists(st.floats(min_value=0.0, max_value=1e300), min_size=6, max_size=6),
+        min_size=1,
+        max_size=8,
+    ),
+    st.integers(min_value=1, max_value=6),
+    st.sampled_from(KINDS),
+)
+@settings(max_examples=100, deadline=None)
+def test_extreme_sums_batch_rows_match_single_samples(rows, v, kind):
+    """A 2-D batch reduces every row exactly as the 1-D call would."""
+    batch = np.sort(np.array(rows), axis=1)
+    w_hi, w_lo = extreme_weights(kind, 6, v)
+    together = extreme_sums(batch, w_hi, w_lo, v)
+    for i, x in enumerate(batch):
+        assert [part[i] for part in together] == list(extreme_sums(x, w_hi, w_lo, v))
 
 
 @given(incomes(min_size=3, max_size=20), st.randoms(use_true_random=False))

@@ -91,3 +91,34 @@ def test_converge_depth_cap_is_honest():
 def test_converge_returns_after_agreement():
     val = converge(lambda lv: integrate_graded(lambda u, cu: np.exp(u), lv), rtol=1e-10)
     assert_allclose(val, np.e - 1.0, rtol=1e-10)
+
+
+def test_converge_ladders_a_pair_together():
+    """Tuple values converge on the largest change against the largest value."""
+    calls = []
+
+    def evaluate(levels):
+        calls.append(levels)
+        return (
+            integrate_graded(lambda u, cu: 1.0 / np.sqrt(u), levels),
+            integrate_graded(lambda u, cu: np.exp(u), levels),
+        )
+
+    first, second = converge(evaluate, rtol=1e-10)
+    assert_allclose(first, 2.0, rtol=1e-9)
+    assert_allclose(second, np.e - 1.0, rtol=1e-10)
+    # the singular component sets the pace; the smooth one alone would stop at once
+    assert len(calls) > 2
+
+
+def test_converge_raises_on_non_finite_rung():
+    def evaluate(levels):
+        return np.float64(1e308) * levels if levels >= 24 else 1.0 / levels
+
+    with pytest.raises(QuadratureNoConvergence, match=r"non-finite value at grading depth 24"):
+        converge(evaluate, rtol=1e-12)
+
+
+def test_converge_message_names_depth_and_last_values():
+    with pytest.raises(QuadratureNoConvergence, match=r"grading depth 900; last two values: \[450.0, 900.0\]"):
+        converge(lambda levels: float(min(levels, MAX_LEVELS)), rtol=1e-12, start_levels=MAX_LEVELS // 2)
