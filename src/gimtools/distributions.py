@@ -53,6 +53,31 @@ class SeededStream:
         return np.random.Generator(np.random.Philox(key=key))
 
 
+def fill_stream_rows(out, seed, first):
+    """Fill each row j of the 2-D array ``out`` from stream (seed, first + j).
+
+    Row j is bit for bit ``SeededStream(seed, first + j).generator().random(n)``.
+    Philox is counter-based, so a fresh stream is fully described by its key
+    and a zero counter: one generator is built and then re-keyed for each
+    row, instead of constructing a generator per stream.  Returns ``out``.
+    """
+    rng = SeededStream(seed, first).generator()
+    key = np.array([seed % (1 << 64), 0], dtype=np.uint64)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,  # buffer empty: the first draw runs the counter
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    for j, row in enumerate(out):
+        key[1] = (first + j) % (1 << 64)
+        rng.bit_generator.state = state
+        rng.random(out=row)
+    return out
+
+
 class Distribution:
     """Common behavior of the parametric families.
 

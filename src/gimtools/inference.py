@@ -29,7 +29,7 @@ from scipy.special import ndtri
 
 from . import quadrature
 from .errors import InvalidLevel, InvalidStdError, SampleTooSmall
-from .measures import extreme_weights, gim_ratio, gim_ustat
+from .measures import _unscale, _ustat_sums, extreme_weights, gim_ratio
 from .samples import as_sample
 
 METHODS = ("plugin", "jackknife")
@@ -66,7 +66,9 @@ def projection_variance(s, v, printed_exponent=False):
 
     with F_i = i/n, Fbar_i = (n-i)/n, and the function returns the sample
     variance of g_hat over the data, computed in O(n) with prefix/suffix
-    sums.
+    sums.  The sums run on the power-of-two-scaled sample, so they cannot
+    overflow; the result reads ``inf``, without a warning, only when the
+    variance itself exceeds the float range.
 
     Parameters
     ----------
@@ -85,20 +87,24 @@ def projection_variance(s, v, printed_exponent=False):
     float
         Sample variance (denominator n-1) of the estimated projection.
     """
-    s = as_sample(s)
+    spread, exponent = _scaled_projection_variance(as_sample(s), v, printed_exponent)
+    return _unscale(spread, 2 * exponent)
+
+
+def _scaled_projection_variance(s, v, printed_exponent=False):
+    """``(variance, exponent)``: :func:`projection_variance` is ``variance * 4**exponent``."""
     n = s.n
     if n < 2:
         raise SampleTooSmall("projection variance needs at least 2 observations")
     v = int(v)
     if v < 1:
         raise ValueError("order v must be >= 1")
-    if v == 1:
-        return 0.0
-    if s.values[0] == s.values[-1]:
-        # degenerate sample: the projection is constant.  The rank-based
-        # plug-in below would read the tied ranks i/n as spread instead.
-        return 0.0
-    x = s.values
+    if v == 1 or s.values[0] == s.values[-1]:
+        # v = 1: the kernel is constant.  Degenerate sample: the projection
+        # is constant, and the rank-based plug-in below would read the tied
+        # ranks i/n as spread instead.
+        return 0.0, 0
+    x, scale = s.scaled()
     grid = np.arange(1, n + 1, dtype=float)
     forward = grid / n          # empirical cdf at each order statistic
     backward = (n - grid) / n   # empirical survival
@@ -110,7 +116,7 @@ def projection_variance(s, v, printed_exponent=False):
     tail = np.concatenate((np.cumsum(up[::-1])[::-1][1:], [0.0]))
     head = np.concatenate(([0.0], np.cumsum(down)[:-1]))
     g_hat = lead + (v - 1) / n * (tail - head)
-    return float(np.var(g_hat, ddof=1))
+    return float(np.var(g_hat, ddof=1)), scale
 
 
 def ustat_variance(s, v):
@@ -120,11 +126,14 @@ def ustat_variance(s, v):
     normal-limit variance of the ratio with the denominator treated as
     fixed.  No numerator/denominator covariance enters (see the module
     docstring for what that omission costs); method tag ``"plugin"``.
+    Both parts are taken on the same power-of-two-scaled sample, where
+    the scale cancels, so the variance stays finite near the float maximum.
     """
     s = as_sample(s)
-    estimate = gim_ustat(s, v)
-    spread = projection_variance(s, v)
-    variance = v * v * spread / (estimate.denominator**2 * s.n)
+    e_max, e_min, _ = _ustat_sums(s, v)
+    denominator = gim_ratio(e_max, e_min)[2]
+    spread, _ = _scaled_projection_variance(s, v)
+    variance = float(v * v * spread / (denominator * denominator * s.n))
     return VarianceEstimate(
         variance=variance, method="plugin", std_error=float(np.sqrt(variance))
     )
@@ -155,7 +164,7 @@ def leave_one_out(s, v, kind="ustat"):
             f"leave-one-out of order v={v} needs at least {v + 1} observations"
         )
     w_hi, w_lo = extreme_weights(kind, m, v)
-    x = np.ldexp(s.values, -np.frexp(s.values[-1])[1])
+    x, _ = s.scaled()
 
     def loo_sums(w):
         kept = w * x[:m]       # weight j applied to position j   (j < k)

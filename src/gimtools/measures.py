@@ -273,7 +273,8 @@ def gini_ustat(s):
     mean = s.mean()
     if mean == 0.0:
         raise ZeroMean("Gini index undefined for an all-zero sample")
-    return gmd(s) / (2.0 * mean)
+    # halving after the division is exact, and 2 * mean could overflow
+    return gmd(s) / mean / 2.0
 
 
 def extended_gini(s, v):

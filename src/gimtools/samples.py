@@ -37,9 +37,19 @@ class IncomeSample:
     def __repr__(self):
         return f"IncomeSample(n={self.n})"
 
+    def scaled(self):
+        """``(values * 2**-exponent, exponent)`` with the maximum in [0.5, 1).
+
+        Scaling by a power of two is exact, so no in-range bit moves, and
+        sums over the scaled values cannot overflow near the float maximum.
+        """
+        exponent = int(np.frexp(self.values[-1])[1])
+        return np.ldexp(self.values, -exponent), exponent
+
     def mean(self):
-        """Arithmetic mean of the incomes."""
-        return float(np.mean(self.values))
+        """Arithmetic mean of the incomes (summed on :meth:`scaled` values)."""
+        x, exponent = self.scaled()
+        return float(np.ldexp(np.mean(x), exponent))
 
 
 def make_sample(raw):

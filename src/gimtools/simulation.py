@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _MIN_UNIFORM, FAMILIES, SeededStream, theoretical_gim
+from .distributions import _MIN_UNIFORM, FAMILIES, fill_stream_rows, theoretical_gim
 from .errors import EmptyGrid, ParseError
 from .measures import _check_order, extreme_sums, extreme_weights, gim_ratio
 
@@ -61,10 +61,7 @@ class SimResult:
 
 def _fill_chunk(cell, lo, hi, weights, est_u, est_edf):
     """Compute estimates for replications [lo, hi) into the output slices."""
-    n = cell.n
-    uniforms = np.empty((hi - lo, n))
-    for j, r in enumerate(range(lo, hi)):
-        uniforms[j] = SeededStream(cell.base_seed, r).generator().random(n)
+    uniforms = fill_stream_rows(np.empty((hi - lo, cell.n)), cell.base_seed, lo)
     np.maximum(uniforms, _MIN_UNIFORM, out=uniforms)
     x = cell.dist._q(uniforms, 1.0 - uniforms)
     x.sort(axis=1)

@@ -27,6 +27,7 @@ from gimtools import (
     leave_one_out,
     make_sample,
     projection_variance,
+    report,
     ustat_variance,
 )
 from gimtools.distributions import _MIN_UNIFORM
@@ -197,6 +198,32 @@ def test_jackknife_near_float_max_matches_rescaled_sample():
     ref = jackknife_variance(make_sample([1.0, 1.7, 1.5, 1.2]), 2)
     assert ref.variance > 0.0
     assert_allclose(big.variance, ref.variance, rtol=1e-12)
+
+
+def test_plugin_report_near_float_max_matches_rescaled_sample():
+    """The prefix/suffix sums used to overflow to nan, so the interval raised."""
+    s = make_sample([1e308, 1.7e308, 1.5e308, 1.2e308])
+    rescaled = make_sample(s.scaled()[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = report(s, [2, 3], se_method="plugin")
+        # the projection variance itself is ~1e615: past the float range
+        assert projection_variance(s, 2) == math.inf
+        variance = ustat_variance(s, 2).variance
+    ref = report(rescaled, [2, 3], se_method="plugin")
+    assert_allclose(big.gini, ref.gini, rtol=1e-12)
+    for got, want in zip(big.entries, ref.entries):
+        assert_allclose([got.value, got.ci_low, got.ci_high],
+                        [want.value, want.ci_low, want.ci_high], rtol=1e-12)
+    assert 0.0 < big.entries[0].ci_low < big.entries[0].ci_high < 1.0
+    assert_allclose(variance, ustat_variance(rescaled, 2).variance, rtol=1e-12)
+
+
+def test_plugin_variance_near_float_min_matches_rescaled_sample():
+    """The squared denominator used to underflow to 0 and divide by zero."""
+    tiny = ustat_variance(make_sample([1e-200, 1.7e-200, 1.5e-200, 1.2e-200]), 2)
+    ref = ustat_variance(make_sample([1.0, 1.7, 1.5, 1.2]), 2)
+    assert_allclose(tiny.variance, ref.variance, rtol=1e-12)
 
 
 def test_jackknife_rejects_unknown_kind():

@@ -1,6 +1,7 @@
 """Core estimator tests: weights, extreme moments, GMD/Gini, GIM."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -295,6 +296,26 @@ def test_gim_near_float_max_matches_rescaled_sample():
     assert_allclose(gim_ustat(big, 2).value, 1 / 6, rtol=1e-12)
     assert_allclose(max_moment_u(big, 2), max_moment_u(small, 2) * 1e308, rtol=1e-12)
     assert_allclose(gmd(big), gmd(small) * 1e308, rtol=1e-12)
+
+
+def test_gini_mean_and_premia_near_float_max_match_rescaled_sample():
+    """np.mean used to overflow here, so gini_ustat read a silent 0.0."""
+    s = make_sample([1e308, 1.7e308, 1.5e308, 1.2e308])
+    x, exponent = s.scaled()
+    rescaled = make_sample(x)
+    assert exponent == 1024
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gini = gini_ustat(s)
+        mean = s.mean()
+        premia = extended_gini(s, 3)
+    assert_allclose(gini, gim_ustat(s, 2).value, rtol=1e-12)
+    assert_allclose(gini, 4 / 27, rtol=1e-12)
+    assert mean == math.ldexp(rescaled.mean(), exponent)
+    reference = extended_gini(rescaled, 3)
+    for field in ("mean", "risk_premium", "gain_premium", "starting_bid",
+                  "bin_price", "price_spread_width"):
+        assert getattr(premia, field) == math.ldexp(getattr(reference, field), exponent)
 
 
 @given(
