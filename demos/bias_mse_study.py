@@ -4,8 +4,8 @@ A small bias/MSE study
 
 The simulation harness repeats one experiment — draw n incomes, compute
 both GIM estimators, compare with the population value — thousands of
-times per grid cell.  Streams are counter-based, so the same seed gives
-the same table on any machine with any worker count.
+times per grid cell.  Replication r of a cell draws from the counter-based
+stream (seed, r), so the same seed gives the same table on any machine.
 """
 
 from gimtools import Exponential, Pareto, SimCell, emit_table, run_cell, run_grid
@@ -28,7 +28,7 @@ cells = [
         for n in (20, 50, 200)
     )
 ]
-results = run_grid(cells, workers=4)
+results = run_grid(cells)
 
 print("\n" + emit_table(results, format="md"))
 

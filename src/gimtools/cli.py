@@ -5,7 +5,7 @@ Subcommands::
     gim describe  --input data.csv --column income
     gim report    --input data.csv --column income --v 2,3 --ci 0.95
     gim density   --input data.csv --column income --out density.csv
-    gim simulate  [--grid study.ini] [--reps N] [--seed N] [--workers N]
+    gim simulate  [--grid study.ini] [--reps N] [--seed N]
     gim selftest
 
 All commands exit 0 on success and nonzero with a one-line diagnostic on
@@ -203,7 +203,9 @@ def _cmd_simulate(args):
             replications=args.reps if args.reps is not None else 10_000,
             base_seed=args.seed if args.seed is not None else 1,
         )
-    results = run_grid(cells, workers=args.workers)
+    if args.workers is not None:
+        print("warning: --workers is ignored; simulate runs on one thread", file=sys.stderr)
+    results = run_grid(cells)
     _write_output(args, emit_table(results, format=args.format))
     return 0
 
@@ -323,7 +325,8 @@ def build_parser():
     p.add_argument("--grid", help="INI grid config (see load_grid_config)")
     p.add_argument("--reps", type=int, help="replications per cell (default 10000)")
     p.add_argument("--seed", type=int, help="base seed (default 1)")
-    p.add_argument("--workers", type=int, default=1, help="worker threads")
+    p.add_argument("--workers", type=int,
+                   help="accepted for compatibility and ignored: simulate runs on one thread")
     _add_output_options(p, formats=("csv", "md"))
     p.set_defaults(func=_cmd_simulate)
 

@@ -138,25 +138,39 @@ class DescriptiveStats:
     kurtosis: float
 
 
+def _scaled_spread(s):
+    """``(sd, centered)``: the sd of ``s`` (divisor n-1), and deviations.
+
+    Both come from the :meth:`IncomeSample.scaled` values, so no square
+    overflows near the float maximum or underflows near its minimum.
+    ``centered`` stays at that scale (fit for scale-free moment ratios);
+    ``sd`` is scaled back.  Needs ``s.n >= 2``.
+    """
+    x, exponent = s.scaled()
+    centered = x - np.mean(x)
+    sd = math.sqrt(float(np.sum(centered * centered)) / (s.n - 1))
+    return float(np.ldexp(sd, exponent)), centered
+
+
 def describe(s):
     """Descriptive statistics of a sample (see :class:`DescriptiveStats`)."""
     s = as_sample(s)
     x = s.values
-    mean = s.mean()
     low = float(x[0])
     high = float(x[-1])
-    sd = float(np.std(x, ddof=1)) if s.n >= 2 else None
+    sd = None
     skewness = None
     kurtosis = None
+    if s.n >= 2:
+        sd, centered = _scaled_spread(s)
     if s.n >= 3:
-        centered = x - mean
         m2 = float(np.mean(centered**2))
         if m2 > 0.0:
             skewness = float(np.mean(centered**3)) / m2**1.5
             kurtosis = float(np.mean(centered**4)) / m2**2
     return DescriptiveStats(
         n=s.n,
-        mean=mean,
+        mean=s.mean(),
         sd=sd,
         min=low,
         max=high,
@@ -235,7 +249,7 @@ def silverman_bandwidth(s):
     s = as_sample(s)
     if s.n < 2:
         raise InvalidBandwidth("bandwidth rule needs at least 2 observations")
-    sd = float(np.std(s.values, ddof=1))
+    sd, _ = _scaled_spread(s)
     q75, q25 = np.percentile(s.values, [75.0, 25.0])
     iqr = float(q75 - q25)
     spread = min(sd, iqr / 1.34) if iqr > 0 else sd

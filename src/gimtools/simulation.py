@@ -7,15 +7,14 @@ is a list of cells, typically n in {20, 40, 60, 80, 100, 200} crossed with
 v in {2, 3} for each distribution family.
 
 Determinism contract: replication r of a cell always draws from the
-counter-based stream (cell.base_seed, r), and accumulation happens in a
-fixed order after all replications are stored by index.  The result is
-byte-identical output for any number of worker threads and across runs —
-worker parallelism only decides who fills which slice of the estimate
-arrays.
+counter-based stream (cell.base_seed, r), so its estimate depends on the
+stream key alone, never on which chunk or call computed it.  Chunks run in
+index order on the calling thread, and accumulation happens in a fixed
+order after all replications are stored by index, so the same seed gives
+byte-identical output across runs and machines.
 """
 
 import configparser
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,7 @@ from .distributions import _MIN_UNIFORM, FAMILIES, fill_stream_rows, theoretical
 from .errors import EmptyGrid, ParseError
 from .measures import _check_order, extreme_sums, extreme_weights, gim_ratio
 
-_CHUNK = 512  # replications per work unit; also the sampling batch size
+_CHUNK = 512  # replications sampled, sorted and summed per batch
 DEFAULT_SIZES = (20, 40, 60, 80, 100, 200)
 DEFAULT_ORDERS = (2, 3)
 
@@ -59,26 +58,18 @@ class SimResult:
     mc_se_edf: float
 
 
-def _fill_chunk(cell, lo, hi, weights, est_u, est_edf):
-    """Compute estimates for replications [lo, hi) into the output slices."""
-    uniforms = fill_stream_rows(np.empty((hi - lo, cell.n)), cell.base_seed, lo)
-    np.maximum(uniforms, _MIN_UNIFORM, out=uniforms)
-    x = cell.dist._q(uniforms, 1.0 - uniforms)
-    x.sort(axis=1)
-    for est, (w_hi, w_lo) in zip((est_u, est_edf), weights):
-        e_max, e_min, _ = extreme_sums(x, w_hi, w_lo, cell.v)
-        est[lo:hi] = gim_ratio(e_max, e_min)[0]
-
-
-def run_cell(cell, workers=1):
+def run_cell(cell, workers=None):
     """Run one Monte Carlo cell and summarize both estimators.
+
+    Replications run in chunks of 512, in index order, on the calling
+    thread; replication r draws from the stream (cell.base_seed, r).
 
     Parameters
     ----------
     cell : SimCell
-    workers : int
-        Worker threads filling replication chunks.  Output is independent
-        of this value (see the module docstring).
+    workers : int, optional
+        Accepted for compatibility and ignored: the cell always runs on
+        one thread.
 
     Returns
     -------
@@ -90,18 +81,15 @@ def run_cell(cell, workers=1):
     reps = cell.replications
     est_u = np.empty(reps)
     est_edf = np.empty(reps)
-    spans = [(lo, min(lo + _CHUNK, reps)) for lo in range(0, reps, _CHUNK)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_fill_chunk, cell, lo, hi, weights, est_u, est_edf)
-                for lo, hi in spans
-            ]
-            for item in futures:
-                item.result()  # re-raise any worker error
-    else:
-        for lo, hi in spans:
-            _fill_chunk(cell, lo, hi, weights, est_u, est_edf)
+    for lo in range(0, reps, _CHUNK):
+        hi = min(lo + _CHUNK, reps)
+        uniforms = fill_stream_rows(np.empty((hi - lo, cell.n)), cell.base_seed, lo)
+        np.maximum(uniforms, _MIN_UNIFORM, out=uniforms)
+        x = cell.dist._q(uniforms, 1.0 - uniforms)
+        x.sort(axis=1)
+        for est, (w_hi, w_lo) in zip((est_u, est_edf), weights):
+            e_max, e_min, _ = extreme_sums(x, w_hi, w_lo, cell.v)
+            est[lo:hi] = gim_ratio(e_max, e_min)[0]
 
     def summarize(est):
         bias = float(np.mean(est)) - truth
@@ -123,12 +111,12 @@ def run_cell(cell, workers=1):
     )
 
 
-def run_grid(cells, workers=1):
+def run_grid(cells):
     """Run a list of cells; results come back in input order."""
     cells = list(cells)
     if not cells:
         raise EmptyGrid("simulation grid has no cells")
-    return [run_cell(cell, workers=workers) for cell in cells]
+    return [run_cell(cell) for cell in cells]
 
 
 def default_grid(distributions, replications=10_000, base_seed=1,
@@ -224,17 +212,7 @@ def load_grid_config(path):
             orders = _parse_numbers(orders_text, int) if orders_text else DEFAULT_ORDERS
         except (TypeError, ValueError) as exc:
             raise ParseError(f"bad section [{section}] in {path!r}: {exc}") from exc
-        for v in orders:
-            for n in sizes:
-                cells.append(
-                    SimCell(
-                        dist=dist,
-                        n=n,
-                        v=v,
-                        replications=replications,
-                        base_seed=base_seed + len(cells),
-                    )
-                )
+        cells += default_grid([dist], replications, base_seed + len(cells), sizes, orders)
     if not cells:
         raise ParseError(f"no family sections found in {path!r}")
     return cells

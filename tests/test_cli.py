@@ -145,6 +145,20 @@ def test_simulate_grid_deterministic(tmp_path, capsys):
     assert header == "family,params,v,n,estimator,bias,mse,mc_se,truth"
 
 
+def test_simulate_workers_warns_and_is_ignored(tmp_path, capsys):
+    grid = tmp_path / "grid.ini"
+    grid.write_text(GRID_INI)
+    plain, flagged = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["simulate", "--grid", str(grid), "--out", str(plain)]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["simulate", "--grid", str(grid), "--out", str(flagged),
+                 "--workers", "3"]) == 0
+    assert capsys.readouterr().err == (
+        "warning: --workers is ignored; simulate runs on one thread\n"
+    )
+    assert flagged.read_bytes() == plain.read_bytes()
+
+
 def test_simulate_grid_overrides_warn(tmp_path, capsys):
     grid = tmp_path / "grid.ini"
     grid.write_text(GRID_INI)

@@ -143,6 +143,19 @@ def test_describe_degenerate_markers():
     assert flat.skewness is None and flat.kurtosis is None  # zero variance
 
 
+@pytest.mark.parametrize("scale", [1e308, 1e-200])
+def test_describe_near_float_extremes_matches_rescaled_sample(scale):
+    """Moments are taken at a power-of-two scale: no overflow to inf/nan near
+    the float maximum, no underflow to sd 0.0 / None near its minimum."""
+    sample = make_sample([scale * u for u in (1.0, 1.7, 1.5, 1.2)])
+    big, ref = describe(sample), describe(sample.values / scale)
+    assert_allclose(big.mean / scale, ref.mean, rtol=1e-12)
+    assert_allclose(big.sd / scale, ref.sd, rtol=1e-12)
+    assert big.skewness is not None and big.kurtosis is not None
+    assert_allclose(big.skewness, ref.skewness, atol=1e-12)
+    assert_allclose(big.kurtosis, ref.kurtosis, rtol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # report
 
@@ -208,6 +221,15 @@ def test_silverman_hand_value():
 def test_silverman_rejects_constant_sample():
     with pytest.raises(InvalidBandwidth):
         silverman_bandwidth(make_sample([3.0, 3.0, 3.0]))
+
+
+@pytest.mark.parametrize("scale", [1e308, 1e-200])
+def test_silverman_near_float_extremes_matches_rescaled_sample(scale):
+    """The sd behind the default bandwidth neither overflows nor underflows
+    to a spurious "spread is zero"."""
+    big = make_sample([scale * u for u in (1.0, 1.7, 1.5, 1.2)])
+    ref = make_sample(big.values / scale)
+    assert_allclose(silverman_bandwidth(big) / scale, silverman_bandwidth(ref), rtol=1e-12)
 
 
 def test_emit_density_csv_shape(tmp_path):

@@ -176,6 +176,9 @@ def test_load_grid_config_roundtrip(tmp_path):
     heavy = cells[2].dist
     assert isinstance(heavy, Pareto) and heavy.shape == 1.8
     assert [(c.n, c.v) for c in cells[2:]] == [(15, 2), (15, 3)]
+    assert cells == default_grid([cells[0].dist], 50, 7, (10, 20), (2,)) + default_grid(
+        [heavy], 50, 9, (15,), (2, 3)
+    )
 
 
 def test_load_grid_config_defaults(tmp_path):
