@@ -34,7 +34,6 @@ from .errors import (
     NegativeIncome,
     NonFinite,
     OrderExceedsSample,
-    OutOfSupport,
     ParseError,
     QuadratureNoConvergence,
     SampleTooSmall,
@@ -141,7 +140,6 @@ __all__ = [
     "InvalidLevel",
     "InvalidStdError",
     "QuadratureNoConvergence",
-    "OutOfSupport",
     "InvalidProbability",
     "EmptyGrid",
     "ParseError",

@@ -29,6 +29,7 @@ from .distributions import (
 from .errors import GimError
 from .inference import edf_numerator_variance, jackknife_variance
 from .measures import (
+    _check_order,
     gim_edf,
     gim_ustat,
     gim_ustat_naive,
@@ -124,10 +125,10 @@ def _cmd_describe(args):
 
 def _parse_orders(text):
     try:
-        orders = [int(tok) for tok in text.replace(",", " ").split()]
-    except ValueError:
+        orders = [_check_order(int(tok)) for tok in text.replace(",", " ").split()]
+    except ValueError:  # OrderExceedsSample is a ValueError too
         raise argparse.ArgumentTypeError(f"bad order list {text!r}") from None
-    if not orders or any(v < 1 for v in orders):
+    if not orders:
         raise argparse.ArgumentTypeError(f"bad order list {text!r}")
     return orders
 

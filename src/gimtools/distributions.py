@@ -26,6 +26,7 @@ from scipy.special import ndtr, ndtri
 
 from . import quadrature
 from .errors import InvalidProbability
+from .measures import _check_order
 from .samples import IncomeSample
 
 # smallest uniform fed to the inverse transforms; Generator.random() can
@@ -62,15 +63,8 @@ def fill_stream_rows(out, seed, first):
     row, instead of constructing a generator per stream.  Returns ``out``.
     """
     rng = SeededStream(seed, first).generator()
-    key = np.array([seed % (1 << 64), 0], dtype=np.uint64)
-    state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,  # buffer empty: the first draw runs the counter
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    state = rng.bit_generator.state  # fresh: zero counter, empty buffer
+    key = state["state"]["key"]
     for j, row in enumerate(out):
         key[1] = (first + j) % (1 << 64)
         rng.bit_generator.state = state
@@ -282,6 +276,14 @@ FAMILIES = {
 }
 
 
+def inverse_transform(dist, u):
+    """Sorted draws (last axis) of ``dist`` from uniforms ``u``, clamped in place."""
+    np.maximum(u, _MIN_UNIFORM, out=u)
+    x = dist._q(u, 1.0 - u)
+    x.sort(axis=-1)
+    return x
+
+
 def draw_sample(dist, n, stream):
     """Draw a reproducible IncomeSample of size n from a distribution.
 
@@ -290,22 +292,15 @@ def draw_sample(dist, n, stream):
     (distribution, n, stream) triple always produces the same sample, on
     any platform, regardless of what other streams are in use — that is
     the property the Monte Carlo harness builds its determinism on.
-
-    Uniform draws are clamped to [2^-53, 1) so the inverse transform never
-    receives an exact 0 (the lognormal quantile would degenerate there).
     """
     if n < 1:
         raise ValueError("sample size must be >= 1")
-    rng = stream.generator()
-    u = rng.random(n)
-    np.maximum(u, _MIN_UNIFORM, out=u)
-    values = dist._q(u, 1.0 - u)
     # already validated by construction: finite, positive support
-    return IncomeSample(np.sort(values, kind="stable"))
+    return IncomeSample(inverse_transform(dist, stream.generator().random(n)))
 
 
-def _extremes_by_quadrature(dist, v, rtol=1e-8):
-    """Quantile-domain quadrature for (E max_v, E min_v) to rtol."""
+def _extremes_by_quadrature(dist, v):
+    """Quantile-domain quadrature for (E max_v, E min_v) to 1e-8 relative."""
 
     def evaluate(levels):
         e_max = quadrature.integrate_graded(
@@ -317,7 +312,7 @@ def _extremes_by_quadrature(dist, v, rtol=1e-8):
         return e_max, e_min
 
     # ladder the two integrals together: refine until both are stable
-    e_max, e_min = quadrature.converge(evaluate, rtol=rtol)
+    e_max, e_min = quadrature.converge(evaluate, rtol=1e-8)
     return v * e_max, v * e_min
 
 
@@ -326,11 +321,10 @@ def theoretical_extremes(dist, v, force_quadrature=False):
 
     Closed forms where the family has them; otherwise quantile-domain
     Gauss-Legendre to 1e-8 relative.  ``force_quadrature=True`` skips the
-    closed forms (used by tests to cross-check the two paths).
+    closed forms (used by tests to cross-check the two paths).  ``v`` must
+    be a positive integer, else OrderExceedsSample.
     """
-    v = int(v)
-    if v < 1:
-        raise ValueError("order v must be >= 1")
+    v = _check_order(v)
     if not force_quadrature:
         closed = dist._closed_extremes(v)
         if closed is not None:

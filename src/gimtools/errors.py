@@ -25,8 +25,8 @@ class NonFinite(GimError):
 
 # --- estimator preconditions ---------------------------------------------
 
-class OrderExceedsSample(GimError):
-    """Raised when the subset order v exceeds the sample size n."""
+class OrderExceedsSample(GimError, ValueError):
+    """Raised when the order v is not a positive integer, or exceeds n."""
 
 
 class SampleTooSmall(GimError):
@@ -56,10 +56,6 @@ class QuadratureNoConvergence(GimError):
 
 
 # --- distributions ---------------------------------------------------------
-
-class OutOfSupport(GimError):
-    """Raised when a point lies outside a distribution's support."""
-
 
 class InvalidProbability(GimError):
     """Raised for quantile arguments outside the open interval (0, 1)."""

@@ -29,7 +29,7 @@ from scipy.special import ndtri
 
 from . import quadrature
 from .errors import InvalidLevel, InvalidStdError, SampleTooSmall
-from .measures import _unscale, _ustat_sums, extreme_weights, gim_ratio
+from .measures import _check_order, _unscale, _ustat_sums, extreme_weights, gim_ratio
 from .samples import as_sample
 
 METHODS = ("plugin", "jackknife")
@@ -52,7 +52,7 @@ class VarianceEstimate:
     ci_high: float = None
 
 
-def projection_variance(s, v, printed_exponent=False):
+def projection_variance(s, v):
     """Plug-in variance of the one-argument projection of the range kernel.
 
     The U-statistic numerator averages the kernel max - min over size-v
@@ -66,39 +66,34 @@ def projection_variance(s, v, printed_exponent=False):
 
     with F_i = i/n, Fbar_i = (n-i)/n, and the function returns the sample
     variance of g_hat over the data, computed in O(n) with prefix/suffix
-    sums.  The sums run on the power-of-two-scaled sample, so they cannot
-    overflow; the result reads ``inf``, without a warning, only when the
-    variance itself exceeds the float range.
+    sums.  The interior exponent is v-2, as the projection derivation
+    gives, not the v-1 of some printed statements: only v-2 matches the
+    analytic exponential value 1/3 at v = 2 (g(x) = x + 2 exp(-x) - 1) and
+    Monte Carlo.  The sums run on the power-of-two-scaled sample, so they
+    cannot overflow; the result reads ``inf``, without a warning, only when
+    the variance itself exceeds the float range.
 
     Parameters
     ----------
     s : IncomeSample or array_like
     v : int
         Subset order.  v = 1 returns exactly 0 (the kernel is constant).
-    printed_exponent : bool
-        If True, use v-1 as the interior exponent, the form that appears in
-        some printed statements of this variance.  The default v-2 is what
-        the projection derivation gives, and is the variant that matches
-        both the analytic exponential benchmark (variance 1/3 at v = 2,
-        where g(x) = x + 2 exp(-x) - 1) and Monte Carlo.
 
     Returns
     -------
     float
         Sample variance (denominator n-1) of the estimated projection.
     """
-    spread, exponent = _scaled_projection_variance(as_sample(s), v, printed_exponent)
+    spread, exponent = _scaled_projection_variance(as_sample(s), v)
     return _unscale(spread, 2 * exponent)
 
 
-def _scaled_projection_variance(s, v, printed_exponent=False):
+def _scaled_projection_variance(s, v):
     """``(variance, exponent)``: :func:`projection_variance` is ``variance * 4**exponent``."""
     n = s.n
     if n < 2:
         raise SampleTooSmall("projection variance needs at least 2 observations")
-    v = int(v)
-    if v < 1:
-        raise ValueError("order v must be >= 1")
+    v = _check_order(v, n)
     if v == 1 or s.values[0] == s.values[-1]:
         # v = 1: the kernel is constant.  Degenerate sample: the projection
         # is constant, and the rank-based plug-in below would read the tied
@@ -108,10 +103,9 @@ def _scaled_projection_variance(s, v, printed_exponent=False):
     grid = np.arange(1, n + 1, dtype=float)
     forward = grid / n          # empirical cdf at each order statistic
     backward = (n - grid) / n   # empirical survival
-    exponent = (v - 1) if printed_exponent else (v - 2)
     lead = x * (forward ** (v - 1) - backward ** (v - 1))
-    up = x * forward**exponent
-    down = x * backward**exponent
+    up = x * forward ** (v - 2)
+    down = x * backward ** (v - 2)
     # sum over j > i of up[j]; sum over j < i of down[j]
     tail = np.concatenate((np.cumsum(up[::-1])[::-1][1:], [0.0]))
     head = np.concatenate(([0.0], np.cumsum(down)[:-1]))
@@ -187,9 +181,10 @@ def jackknife_variance(s, v, kind="ustat"):
     spread of fewer than 3 leave-one-out values says nothing.
     """
     s = as_sample(s)
-    if s.n < max(int(v) + 1, 3):
+    v = _check_order(v)
+    if s.n < max(v + 1, 3):
         raise SampleTooSmall(
-            f"jackknife of order v={v} needs at least {max(int(v) + 1, 3)} observations"
+            f"jackknife of order v={v} needs at least {max(v + 1, 3)} observations"
         )
     theta = leave_one_out(s, v, kind)
     centered = theta - np.mean(theta)
@@ -265,24 +260,22 @@ def _edf_numerator_variance_at(dist, v, levels):
     return v * v * (off_diagonal + diagonal)
 
 
-def edf_numerator_variance(dist, v, rtol=1e-6):
+def edf_numerator_variance(dist, v):
     """Asymptotic variance of the sqrt(n)-scaled plug-in numerator.
 
     Evaluated on endpoint-graded Gauss-Legendre panels, doubling the
-    grading depth until two successive values agree to ``rtol`` relative
-    (at most 12 doublings, else QuadratureNoConvergence).  Exact
-    benchmarks: 4/3 for the unit exponential at v = 2, three times that at
-    v = 3, and 363/175 for Pareto(shape 3, scale 1) at v = 2.
+    grading depth until two successive values agree to a fixed 1e-6
+    relative tolerance (else QuadratureNoConvergence at the depth cap).
+    Exact benchmarks: 4/3 for the unit exponential at v = 2, three times
+    that at v = 3, and 363/175 for Pareto(shape 3, scale 1) at v = 2.
 
     Heavy tails slow the ladder down (the integrand's endpoint singularity
     sharpens as the Pareto shape approaches 2); shapes much below 2.5 may
     exhaust the ladder and raise rather than return a bad number.
     """
-    v = int(v)
-    if v < 1:
-        raise ValueError("order v must be >= 1")
+    v = _check_order(v)
     if v == 1:
         return 0.0
     return quadrature.converge(
-        lambda levels: _edf_numerator_variance_at(dist, v, levels), rtol=rtol
+        lambda levels: _edf_numerator_variance_at(dist, v, levels), rtol=1e-6
     )

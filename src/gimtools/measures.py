@@ -72,11 +72,13 @@ class PremiaReport:
     price_spread_width: float
 
 
-def _check_order(n, v):
+def _check_order(v, n=None):
+    """``v`` as an int; raises unless it is a positive integer, at most ``n``."""
     if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
         raise OrderExceedsSample(f"order v must be a positive integer, got {v!r}")
-    if v > n:
+    if n is not None and v > n:
         raise OrderExceedsSample(f"order v={v} exceeds sample size n={n}")
+    return int(v)
 
 
 def subset_weights(n, v):
@@ -111,7 +113,7 @@ def subset_weights(n, v):
         Length-n weight vectors, each summing to 1.  ``w_min`` is
         ``w_max`` reversed (max/min symmetry of subsets).
     """
-    _check_order(n, v)
+    _check_order(v, n)
     w_max = np.zeros(n)
     # w_max[i] = C(i-1, v-1)/C(n, v); stepping i -> i-1 multiplies by (i-v)/(i-1).
     # The factors are written into the tail, top index first, and the running
@@ -145,7 +147,7 @@ def extreme_weights(kind, n, v):
     if kind == "ustat":
         return subset_weights(n, v)
     if kind == "edf":
-        _check_order(n, v)
+        _check_order(v, n)
         i = np.arange(1, n + 1, dtype=float)
         scale = v / n
         return scale * (i / n) ** (v - 1), scale * ((n - i) / n) ** (v - 1)
@@ -286,7 +288,7 @@ def extended_gini(s, v):
     E(max of v), and their width E(max - min).
     """
     s = as_sample(s)
-    _check_order(s.n, v)
+    _check_order(v, s.n)
     e_max, e_min, exponent = _ustat_sums(s, v)
     e_max, e_min = _unscale(e_max, exponent), _unscale(e_min, exponent)
     mean = s.mean()
@@ -343,7 +345,7 @@ def gim_ustat_naive(s, v):
         If C(n, v) exceeds 10^6 subsets.
     """
     s = as_sample(s)
-    _check_order(s.n, v)
+    _check_order(v, s.n)
     n_subsets = math.comb(s.n, v)
     if n_subsets > _ENUMERATION_GUARD:
         raise EnumerationTooLarge(

@@ -34,9 +34,9 @@ MAX_LEVELS = 900
 
 
 @lru_cache(maxsize=None)
-def unit_rule(order=GL_ORDER):
-    """Gauss-Legendre nodes/weights mapped to the unit interval (0, 1)."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+def unit_rule():
+    """Gauss-Legendre nodes/weights of order GL_ORDER mapped to (0, 1)."""
+    nodes, weights = np.polynomial.legendre.leggauss(GL_ORDER)
     return (nodes + 1.0) / 2.0, weights / 2.0
 
 
@@ -61,7 +61,7 @@ def graded_panels(levels):
     return panels
 
 
-def panel_nodes(panel, order=GL_ORDER):
+def panel_nodes(panel):
     """Gauss-Legendre nodes of one panel as (u, cu, weights).
 
     ``u + cu == 1`` with each side accurate: left-anchored panels build u
@@ -69,7 +69,7 @@ def panel_nodes(panel, order=GL_ORDER):
     endpoint's complement.
     """
     a, ca, h, anchored_right = panel
-    xi, wi = unit_rule(order)
+    xi, wi = unit_rule()
     if anchored_right:
         cb = ca - h  # complement of right endpoint, exact (both dyadic)
         cu = cb + h * (1.0 - xi)
@@ -80,16 +80,16 @@ def panel_nodes(panel, order=GL_ORDER):
     return u, cu, h * wi
 
 
-def integrate_graded(f, levels, order=GL_ORDER):
+def integrate_graded(f, levels):
     """Integrate ``f(u, cu)`` over (0, 1) on the graded mesh."""
     total = 0.0
     for panel in graded_panels(levels):
-        u, cu, w = panel_nodes(panel, order)
+        u, cu, w = panel_nodes(panel)
         total += float(np.sum(w * f(u, cu)))
     return total
 
 
-def converge(evaluate, rtol, max_doublings=12, start_levels=6):
+def converge(evaluate, rtol, start_levels=6):
     """Run an evaluation ladder, doubling the grading depth until stable.
 
     Parameters
@@ -104,10 +104,9 @@ def converge(evaluate, rtol, max_doublings=12, start_levels=6):
         Stop once two successive ladder values agree to this relative
         tolerance: the largest absolute change is at most ``rtol`` times
         the largest absolute value.
-    max_doublings : int
-        Number of doublings to attempt past the first evaluation.
     start_levels : int
-        Grading depth of the first rung.
+        Grading depth of the first rung; the ladder ends once the depth
+        stops growing at the cap MAX_LEVELS (within 11 rungs).
 
     Returns
     -------
@@ -127,7 +126,7 @@ def converge(evaluate, rtol, max_doublings=12, start_levels=6):
     levels = start_levels
     values = []
     reason = f"no convergence to rtol={rtol:g}"
-    for _ in range(max_doublings + 1):
+    while True:
         depth = min(levels, MAX_LEVELS)
         with np.errstate(over="ignore", invalid="ignore"):
             current = evaluate(levels)
@@ -140,7 +139,7 @@ def converge(evaluate, rtol, max_doublings=12, start_levels=6):
             if change <= rtol * max(np.max(np.abs(current)), 1e-300):
                 return current
         levels *= 2
-        if min(levels, MAX_LEVELS) == depth:
+        if min(levels, MAX_LEVELS) <= depth:
             break  # grading exhausted; no fresh mesh left to compare
     raise QuadratureNoConvergence(
         f"{reason} at grading depth {depth}; last two values: {values[-2:]}"

@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EmptyColumn, InvalidBandwidth, NegativeIncome, NonFinite, ParseError
-from .inference import confidence_interval, jackknife_variance, ustat_variance
+from .inference import METHODS, confidence_interval, jackknife_variance, ustat_variance
 from .measures import gim_ustat, gini_ustat
 from .samples import as_sample, make_sample
 
@@ -210,8 +210,8 @@ def report(s, v_list, ci_level=0.95, se_method="jackknife", label="sample"):
     v_list = list(v_list)
     if not v_list:
         raise ValueError("v_list must name at least one order")
-    if se_method not in ("jackknife", "plugin"):
-        raise ValueError(f"se_method must be 'jackknife' or 'plugin', got {se_method!r}")
+    if se_method not in METHODS:
+        raise ValueError(f"se_method must be one of {METHODS}, got {se_method!r}")
     gini = gini_ustat(s)
     entries = []
     for v in v_list:
@@ -268,7 +268,8 @@ def emit_density(s, out_path, bins=30, bandwidth=None, svg_path=None):
     the kernel density is evaluated at the histogram bin midpoints, so one
     grid serves both curves.  ``bandwidth`` defaults to Silverman's rule.
     With ``svg_path`` set, a small self-contained SVG line plot of the
-    density is written as well.
+    density is written as well.  Both curves run on :meth:`IncomeSample.scaled`
+    values, so a density reads ``inf`` only past the float range.
 
     Returns
     -------
@@ -282,17 +283,21 @@ def emit_density(s, out_path, bins=30, bandwidth=None, svg_path=None):
     elif not bandwidth > 0:
         raise InvalidBandwidth(f"bandwidth must be positive, got {bandwidth!r}")
 
-    x = s.values
+    x, exponent = s.scaled()
+    scaled_bandwidth = np.ldexp(bandwidth, -exponent)
     counts, edges = np.histogram(x, bins=bins)
     mids = 0.5 * (edges[:-1] + edges[1:])
     # Gaussian KDE at the midpoints; bins x n kept memory-bounded by
     # chunking over the sample
-    density = np.zeros(bins)
-    inv = 1.0 / (bandwidth * math.sqrt(2.0 * math.pi) * s.n)
-    for lo in range(0, s.n, 16_384):
-        block = x[lo : lo + 16_384]
-        z = (mids[:, None] - block[None, :]) / bandwidth
-        density += inv * np.sum(np.exp(-0.5 * z * z), axis=1)
+    scaled_density = np.zeros(bins)
+    inv = 1.0 / (scaled_bandwidth * math.sqrt(2.0 * math.pi) * s.n)
+    with np.errstate(over="ignore"):  # an overflowing z * z gives exp(-inf) = 0
+        for lo in range(0, s.n, 16_384):
+            block = x[lo : lo + 16_384]
+            z = (mids[:, None] - block[None, :]) / scaled_bandwidth
+            scaled_density += inv * np.sum(np.exp(-0.5 * z * z), axis=1)
+        density = np.ldexp(scaled_density, -exponent)
+    mids = np.ldexp(mids, exponent)
 
     lines = ["bin_mid,count,density"]
     for mid, count, dens in zip(mids, counts, density):
@@ -301,15 +306,16 @@ def emit_density(s, out_path, bins=30, bandwidth=None, svg_path=None):
         handle.write("\n".join(lines) + "\n")
 
     if svg_path is not None:
-        _write_density_svg(svg_path, mids, density, counts)
+        # the plot's y-axis is relative, and the scaled density stays finite
+        _write_density_svg(svg_path, mids, scaled_density, counts)
     return DensityResult(rows=bins, bandwidth=float(bandwidth))
 
 
-def _write_density_svg(path, grid, density, counts, width=640, height=360):
+def _write_density_svg(path, grid, density, counts):
     """Self-contained SVG: histogram bars plus the density polyline."""
-    pad = 40
+    width, height, pad = 640, 360, 40
     span_x = grid[-1] - grid[0] if grid[-1] > grid[0] else 1.0
-    top = float(max(density.max(), 1e-300))
+    top = float(density.max()) if density.max() > 0 else 1.0
     bar_top = float(max(counts.max(), 1))
     inner_w = width - 2 * pad
     inner_h = height - 2 * pad

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _MIN_UNIFORM, FAMILIES, fill_stream_rows, theoretical_gim
+from .distributions import FAMILIES, fill_stream_rows, inverse_transform, theoretical_gim
 from .errors import EmptyGrid, ParseError
-from .measures import _check_order, extreme_sums, extreme_weights, gim_ratio
+from .measures import KINDS, _check_order, extreme_sums, extreme_weights, gim_ratio
 
 _CHUNK = 512  # replications sampled, sorted and summed per batch
 DEFAULT_SIZES = (20, 40, 60, 80, 100, 200)
@@ -41,7 +41,7 @@ class SimCell:
     def __post_init__(self):
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
-        _check_order(self.n, self.v)
+        _check_order(self.v, self.n)
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ def run_cell(cell, workers=None):
     SimResult
     """
     truth = theoretical_gim(cell.dist, cell.v)
-    weights = tuple(extreme_weights(kind, cell.n, cell.v) for kind in ("ustat", "edf"))
+    weights = tuple(extreme_weights(kind, cell.n, cell.v) for kind in KINDS)
 
     reps = cell.replications
     est_u = np.empty(reps)
@@ -84,9 +84,7 @@ def run_cell(cell, workers=None):
     for lo in range(0, reps, _CHUNK):
         hi = min(lo + _CHUNK, reps)
         uniforms = fill_stream_rows(np.empty((hi - lo, cell.n)), cell.base_seed, lo)
-        np.maximum(uniforms, _MIN_UNIFORM, out=uniforms)
-        x = cell.dist._q(uniforms, 1.0 - uniforms)
-        x.sort(axis=1)
+        x = inverse_transform(cell.dist, uniforms)
         for est, (w_hi, w_lo) in zip((est_u, est_edf), weights):
             e_max, e_min, _ = extreme_sums(x, w_hi, w_lo, cell.v)
             est[lo:hi] = gim_ratio(e_max, e_min)[0]
@@ -134,7 +132,7 @@ def default_grid(distributions, replications=10_000, base_seed=1,
                     SimCell(
                         dist=dist,
                         n=int(n),
-                        v=int(v),
+                        v=v,
                         replications=replications,
                         base_seed=base_seed + len(cells),
                     )

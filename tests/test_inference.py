@@ -12,6 +12,7 @@ from gimtools import (
     InvalidLevel,
     InvalidStdError,
     Lognormal,
+    OrderExceedsSample,
     Pareto,
     QuadratureNoConvergence,
     SampleTooSmall,
@@ -28,6 +29,8 @@ from gimtools import (
     make_sample,
     projection_variance,
     report,
+    theoretical_extremes,
+    theoretical_gim,
     ustat_variance,
 )
 from gimtools.distributions import _MIN_UNIFORM
@@ -79,19 +82,6 @@ def test_projection_variance_permutation_invariant():
     a = projection_variance(make_sample(xs), 3)
     b = projection_variance(make_sample(rng.permutation(xs)), 3)
     assert a == b
-
-
-def test_projection_variance_printed_exponent_differs():
-    s = draw_sample(Exponential(1.0), 500, SeededStream(3, 0))
-    for v in (2, 3):
-        corrected = projection_variance(s, v)
-        printed = projection_variance(s, v, printed_exponent=True)
-        assert corrected != printed
-    # the corrected variant is the one matching the analytic 1/3 at v=2
-    big = draw_sample(Exponential(1.0), 100_000, SeededStream(97, 0))
-    assert abs(projection_variance(big, 2) - 1 / 3) < abs(
-        projection_variance(big, 2, printed_exponent=True) - 1 / 3
-    )
 
 
 @pytest.mark.parametrize("v", [2, 3])
@@ -224,6 +214,26 @@ def test_plugin_variance_near_float_min_matches_rescaled_sample():
     tiny = ustat_variance(make_sample([1e-200, 1.7e-200, 1.5e-200, 1.2e-200]), 2)
     ref = ustat_variance(make_sample([1.0, 1.7, 1.5, 1.2]), 2)
     assert_allclose(tiny.variance, ref.variance, rtol=1e-12)
+
+
+def test_population_and_variance_entry_points_validate_order():
+    """One order rule: v is a positive integer (a numpy integer counts)."""
+    s = draw_sample(Exponential(1.0), 30, SeededStream(8, 0))
+    entry_points = [
+        lambda v: theoretical_extremes(Exponential(1.0), v),
+        lambda v: theoretical_gim(Exponential(1.0), v),
+        lambda v: edf_numerator_variance(Exponential(1.0), v),
+        lambda v: projection_variance(s, v),
+        lambda v: ustat_variance(s, v),
+        lambda v: jackknife_variance(s, v),
+    ]
+    for entry in entry_points:
+        for bad in (2.5, True, 0):
+            with pytest.raises(OrderExceedsSample):
+                entry(bad)
+            with pytest.raises(ValueError):  # callers catching ValueError keep working
+                entry(bad)
+        assert entry(np.int64(3)) == entry(3)
 
 
 def test_jackknife_rejects_unknown_kind():

@@ -260,8 +260,40 @@ def test_emit_density_explicit_bandwidth(tmp_path):
     out = tmp_path / "d.csv"
     result = emit_density(s, out, bins=5, bandwidth=0.75)
     assert result.bandwidth == 0.75
+    # a kernel far narrower than the bin spacing: z * z overflows, exp(-inf) = 0
+    emit_density(s, out, bins=4, bandwidth=1e-160)
+    assert [line.split(",")[2] for line in out.read_text().splitlines()[1:]] == ["0"] * 4
     with pytest.raises(InvalidBandwidth):
         emit_density(s, out, bandwidth=0.0)
+
+
+@pytest.mark.parametrize("bandwidth", [None, 1e307])
+def test_emit_density_near_float_extremes_matches_rescaled_sample(tmp_path, bandwidth):
+    """The grid and the kernel run at a power-of-two scale: no midpoint
+    overflows near the float maximum."""
+    scale = 1e308
+    sample = make_sample([scale * u for u in (1.0, 1.7, 1.5, 1.2)])
+    ref_bandwidth = None if bandwidth is None else bandwidth / scale
+    big, ref = tmp_path / "big.csv", tmp_path / "ref.csv"
+    emit_density(sample, big, bins=12, bandwidth=bandwidth)
+    emit_density(sample.values / scale, ref, bins=12, bandwidth=ref_bandwidth)
+    big_rows = np.loadtxt(big, delimiter=",", skiprows=1)
+    ref_rows = np.loadtxt(ref, delimiter=",", skiprows=1)
+    assert_allclose(big_rows[:, 0] / scale, ref_rows[:, 0], rtol=1e-12)
+    assert_allclose(big_rows[:, 1], ref_rows[:, 1], rtol=0)
+    assert_allclose(big_rows[:, 2] * scale, ref_rows[:, 2], rtol=1e-12)
+
+
+def test_emit_density_near_float_min_keeps_midpoints_finite(tmp_path):
+    """Subnormal incomes: finite midpoints, and a density that reads inf
+    because it truly exceeds the float range, without a warning."""
+    sample = make_sample([1e-310 * u for u in (1.0, 1.7, 1.5, 1.2)])
+    out = tmp_path / "tiny.csv"
+    emit_density(sample, out, bins=6, svg_path=tmp_path / "tiny.svg")
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert np.all(np.isfinite(rows[:, 0])) and np.all(rows[:, 0] > 0)
+    assert np.all(np.isinf(rows[:, 2]))
+    assert "nan" not in (tmp_path / "tiny.svg").read_text()
 
 
 def test_emit_density_svg(tmp_path):

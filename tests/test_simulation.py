@@ -112,6 +112,8 @@ def test_sim_cell_validation():
     for bad in (0, -1, 2.0, True):
         with pytest.raises(OrderExceedsSample):
             SimCell(Exponential(1.0), n=10, v=bad)
+    with pytest.raises(OrderExceedsSample):  # the grid builder does not truncate
+        default_grid([Exponential(1.0)], orders=(2.5,))
 
 
 # ---------------------------------------------------------------------------
