@@ -214,6 +214,11 @@ def confidence_interval(point, ve, level=0.95):
     return replace(ve, level=level, ci_low=low, ci_high=high)
 
 
+# panels per block of the within-panel nested rule: its (block, 12, 12)
+# temporaries stay small however deep the ladder runs
+_NESTED_BLOCK = 128
+
+
 def _edf_numerator_variance_at(dist, v, levels):
     """Fixed-depth evaluation of the numerator covariance double integral.
 
@@ -228,35 +233,38 @@ def _edf_numerator_variance_at(dist, v, levels):
 
     with Phi(u) = (u^(v-1) - (1-u)^(v-1)) * Q'(u).  Off-diagonal panel
     pairs separate into products (one prefix accumulator), and only the
-    within-panel diagonal needs a nested rule.
+    within-panel diagonal needs a nested rule.  Phi runs on whole mesh
+    arrays; the scalar accumulation runs over per-panel sums in panel order.
     """
     xi, wi = quadrature.unit_rule()
-    off_diagonal = 0.0
-    diagonal = 0.0
-    prefix = 0.0  # running int_0^a u Phi(u) du over completed panels
+    m = quadrature.mesh(levels)
 
     def phi(u, cu):
         return (u ** (v - 1) - cu ** (v - 1)) * dist._qd(u, cu)
 
-    for panel in quadrature.graded_panels(levels):
-        a, ca, h, anchored_right = panel
-        u, cu, w = quadrature.panel_nodes(panel)
-        f = phi(u, cu)
-        panel_a = float(np.sum(w * u * f))
-        off_diagonal += 2.0 * float(np.sum(w * cu * f)) * prefix
-        # within-panel part: inner integral restarts at the panel edge
-        inner = np.empty(xi.size)
-        for k in range(xi.size):
-            hk = h * xi[k]
-            if anchored_right:
-                uu = u[k] - hk * (1.0 - xi)
-                cuu = cu[k] + hk * (1.0 - xi)
-            else:
-                uu = a + hk * xi
-                cuu = ca - hk * xi
-            inner[k] = hk * float(np.sum(wi * uu * phi(uu, cuu)))
-        diagonal += 2.0 * float(np.sum(w * cu * f * inner))
-        prefix += panel_a
+    f = phi(m.u, m.cu)
+    # within-panel part: the inner integral up to node k restarts at the
+    # panel edge, on nodes [p, k, :] spanning width hk[p, k] = h[p] * xi[k]
+    inner = np.empty_like(f)
+    for start in range(0, f.shape[0], _NESTED_BLOCK):
+        rows = slice(start, start + _NESTED_BLOCK)
+        hk = m.h[rows, None] * xi
+        step = hk[:, :, None]
+        right = m.anchored_right[rows, None, None]
+        uu = np.where(right, m.u[rows, :, None] - step * (1.0 - xi), m.a[rows, None, None] + step * xi)
+        cuu = np.where(right, m.cu[rows, :, None] + step * (1.0 - xi), m.ca[rows, None, None] - step * xi)
+        inner[rows] = hk * np.sum(wi * uu * phi(uu, cuu), axis=2)
+    outer = m.w * m.cu * f
+    panel_a = np.sum(m.w * m.u * f, axis=1).tolist()
+    panel_c = np.sum(outer, axis=1).tolist()
+    panel_d = np.sum(outer * inner, axis=1).tolist()
+    off_diagonal = 0.0
+    diagonal = 0.0
+    prefix = 0.0  # running int_0^a u Phi(u) du over completed panels
+    for a_sum, c_sum, d_sum in zip(panel_a, panel_c, panel_d):
+        off_diagonal += 2.0 * c_sum * prefix
+        diagonal += 2.0 * d_sum
+        prefix += a_sum
     return v * v * (off_diagonal + diagonal)
 
 

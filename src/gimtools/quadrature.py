@@ -19,9 +19,18 @@ Two floating-point details matter near u = 1:
 
 All integrand callables in this module therefore have signature f(u, cu)
 with u + cu = 1 elementwise.
+
+Evaluation runs on whole arrays.  :func:`mesh` builds, once per depth and
+cached, the read-only ``(P, GL_ORDER)`` node arrays of all P panels, each
+row with the same expressions a single panel would use; integrands are
+called once on those arrays.  The panel sums are then added one by one, left
+to right in panel order, so every result is bit for bit what a loop over
+the panels gives: elementwise numpy arithmetic does not depend on the
+array's shape, and only the order of the additions could move the bits.
 """
 
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,31 +70,60 @@ def graded_panels(levels):
     return panels
 
 
-def panel_nodes(panel):
-    """Gauss-Legendre nodes of one panel as (u, cu, weights).
+class Mesh(NamedTuple):
+    """Gauss-Legendre nodes of every panel of one graded mesh.
+
+    ``u``, ``cu`` and ``w`` are ``(P, GL_ORDER)`` arrays, row p holding the
+    nodes, complements and weights of panel p in :func:`graded_panels`
+    order; ``a``, ``ca``, ``h`` and ``anchored_right`` are that panel list
+    as ``(P,)`` vectors.  All arrays are read-only: the mesh is cached.
+    """
+
+    u: np.ndarray
+    cu: np.ndarray
+    w: np.ndarray
+    a: np.ndarray
+    ca: np.ndarray
+    h: np.ndarray
+    anchored_right: np.ndarray
+
+
+# a ladder from depth 6 visits 9 depths; the bound caps the cache at a few
+# MB when callers ask for many distinct depths
+@lru_cache(maxsize=16)
+def mesh(levels):
+    """The graded mesh of depth ``levels`` as node arrays (see :class:`Mesh`).
 
     ``u + cu == 1`` with each side accurate: left-anchored panels build u
     from the left endpoint, right-anchored ones build cu from the right
     endpoint's complement.
     """
-    a, ca, h, anchored_right = panel
+    a, ca, h, anchored_right = (np.array(c) for c in zip(*graded_panels(levels)))
     xi, wi = unit_rule()
-    if anchored_right:
-        cb = ca - h  # complement of right endpoint, exact (both dyadic)
-        cu = cb + h * (1.0 - xi)
-        u = 1.0 - cu
-    else:
-        u = a + h * xi
-        cu = ca - h * xi
-    return u, cu, h * wi
+    hx = h[:, None] * xi
+    right = anchored_right[:, None]
+    # right-anchored rows count cu up from the right endpoint's complement
+    # ca - h, which is exact (both dyadic)
+    cu_right = (ca - h)[:, None] + h[:, None] * (1.0 - xi)
+    cu = np.where(right, cu_right, ca[:, None] - hx)
+    u = np.where(right, 1.0 - cu_right, a[:, None] + hx)
+    w = h[:, None] * wi
+    arrays = Mesh(u, cu, w, a, ca, h, anchored_right)
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 def integrate_graded(f, levels):
-    """Integrate ``f(u, cu)`` over (0, 1) on the graded mesh."""
+    """Integrate ``f(u, cu)`` over (0, 1) on the graded mesh.
+
+    ``f`` is called once, on the whole ``(P, GL_ORDER)`` node arrays; the
+    per-panel sums are added left to right in panel order.
+    """
+    m = mesh(levels)
     total = 0.0
-    for panel in graded_panels(levels):
-        u, cu, w = panel_nodes(panel)
-        total += float(np.sum(w * f(u, cu)))
+    for panel_sum in np.sum(m.w * f(m.u, m.cu), axis=1).tolist():
+        total += panel_sum
     return total
 
 
@@ -97,7 +135,7 @@ def converge(evaluate, rtol, start_levels=6):
     evaluate : callable
         ``evaluate(levels)`` returns a float, or a tuple or array of floats
         refined together; typically wraps :func:`integrate_graded` or a
-        nested scheme built on :func:`graded_panels`.  Each rung runs with
+        nested scheme built on :func:`mesh`.  Each rung runs with
         numpy overflow and invalid-value warnings silenced: a rung whose
         value is not finite raises instead.
     rtol : float

@@ -285,12 +285,19 @@ def emit_density(s, out_path, bins=30, bandwidth=None, svg_path=None):
 
     x, exponent = s.scaled()
     scaled_bandwidth = np.ldexp(bandwidth, -exponent)
+    # a bandwidth that vanishes at the sample's scale, or whose kernel
+    # normaliser overflows, has no density to give
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = 1.0 / (scaled_bandwidth * math.sqrt(2.0 * math.pi) * s.n)
+    if not np.isfinite(inv):
+        raise InvalidBandwidth(
+            f"bandwidth {bandwidth!r} is too small for a sample of this scale"
+        )
     counts, edges = np.histogram(x, bins=bins)
     mids = 0.5 * (edges[:-1] + edges[1:])
     # Gaussian KDE at the midpoints; bins x n kept memory-bounded by
     # chunking over the sample
     scaled_density = np.zeros(bins)
-    inv = 1.0 / (scaled_bandwidth * math.sqrt(2.0 * math.pi) * s.n)
     with np.errstate(over="ignore"):  # an overflowing z * z gives exp(-inf) = 0
         for lo in range(0, s.n, 16_384):
             block = x[lo : lo + 16_384]

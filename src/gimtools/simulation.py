@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import FAMILIES, fill_stream_rows, inverse_transform, theoretical_gim
-from .errors import EmptyGrid, ParseError
+from .errors import EmptyGrid, ParseError, SampleTooSmall
 from .measures import KINDS, _check_order, extreme_sums, extreme_weights, gim_ratio
 
 _CHUNK = 512  # replications sampled, sorted and summed per batch
@@ -41,7 +41,10 @@ class SimCell:
     def __post_init__(self):
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
-        _check_order(self.v, self.n)
+        n = self.n
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise SampleTooSmall(f"sample size n must be a positive integer, got {n!r}")
+        _check_order(self.v, n)
 
 
 @dataclass(frozen=True)
@@ -131,7 +134,7 @@ def default_grid(distributions, replications=10_000, base_seed=1,
                 cells.append(
                     SimCell(
                         dist=dist,
-                        n=int(n),
+                        n=n,
                         v=v,
                         replications=replications,
                         base_seed=base_seed + len(cells),

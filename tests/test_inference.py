@@ -33,7 +33,9 @@ from gimtools import (
     theoretical_gim,
     ustat_variance,
 )
+from gimtools import quadrature
 from gimtools.distributions import _MIN_UNIFORM
+from gimtools.inference import _NESTED_BLOCK, _edf_numerator_variance_at
 from gimtools.measures import subset_weights
 
 
@@ -340,6 +342,60 @@ def test_sigma2_heavy_tail_raises_without_numpy_warnings():
         warnings.simplefilter("error")
         with pytest.raises(QuadratureNoConvergence, match="non-finite value at grading depth 768"):
             edf_numerator_variance(Pareto(2.2, 1.0), 2)
+
+
+def _edf_numerator_variance_loop(dist, v, levels):
+    """Per-panel, per-node evaluation of the numerator covariance integral.
+
+    Test oracle for :func:`_edf_numerator_variance_at`, which evaluates the
+    same nodes on whole arrays and adds the same per-panel sums in the same
+    order, and so must match it bit for bit.  Panel p's outer nodes are row
+    p of the mesh, itself checked against a per-panel build.
+    """
+    xi, wi = quadrature.unit_rule()
+    m = quadrature.mesh(levels)
+    off_diagonal = 0.0
+    diagonal = 0.0
+    prefix = 0.0
+
+    def phi(u, cu):
+        return (u ** (v - 1) - cu ** (v - 1)) * dist._qd(u, cu)
+
+    for p, (a, ca, h, anchored_right) in enumerate(quadrature.graded_panels(levels)):
+        u, cu, w = m.u[p], m.cu[p], m.w[p]
+        f = phi(u, cu)
+        panel_a = float(np.sum(w * u * f))
+        off_diagonal += 2.0 * float(np.sum(w * cu * f)) * prefix
+        inner = np.empty(xi.size)
+        for k in range(xi.size):
+            hk = h * xi[k]
+            if anchored_right:
+                uu = u[k] - hk * (1.0 - xi)
+                cuu = cu[k] + hk * (1.0 - xi)
+            else:
+                uu = a + hk * xi
+                cuu = ca - hk * xi
+            inner[k] = hk * float(np.sum(wi * uu * phi(uu, cuu)))
+        diagonal += 2.0 * float(np.sum(w * cu * f * inner))
+        prefix += panel_a
+    return v * v * (off_diagonal + diagonal)
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [Exponential(1.0), Pareto(3.0, 1.0), Pareto(2.5, 1.0), Lognormal(0.0, 0.5), Lognormal(0.0, 1.0)],
+    ids=repr,
+)
+@pytest.mark.parametrize("v", [2, 3, 4])
+def test_sigma2_rung_bit_identical_to_panel_loop(dist, v):
+    """Every rung up to depth 384 (768 panels, six nested blocks)."""
+    depths = [6 * 2**k for k in range(7)]
+    assert 2 * depths[-1] > 5 * _NESTED_BLOCK  # several block boundaries
+    # converge evaluates every rung with these numpy warnings silenced
+    with np.errstate(over="ignore", invalid="ignore"):
+        for levels in depths:
+            got = _edf_numerator_variance_at(dist, v, levels)
+            assert got == _edf_numerator_variance_loop(dist, v, levels)
 
 
 def test_sigma2_matches_monte_carlo():

@@ -4,16 +4,46 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gimtools import QuadratureNoConvergence
+from gimtools import Exponential, Lognormal, Pareto, QuadratureNoConvergence
 from gimtools.quadrature import (
     GL_ORDER,
     MAX_LEVELS,
     converge,
     graded_panels,
     integrate_graded,
-    panel_nodes,
+    mesh,
     unit_rule,
 )
+
+# the ladder's rungs up to the deepest one the population values reach
+DEPTHS = [6 * 2**k for k in range(7)]  # 6, 12, ..., 384
+
+
+def _panel_nodes_loop(panel):
+    """Gauss-Legendre nodes of one panel as (u, cu, weights), built alone.
+
+    Test oracle for the rows of :func:`mesh`, which must build every panel
+    with the same expressions and so match it bit for bit.
+    """
+    a, ca, h, anchored_right = panel
+    xi, wi = unit_rule()
+    if anchored_right:
+        cb = ca - h  # complement of right endpoint, exact (both dyadic)
+        cu = cb + h * (1.0 - xi)
+        u = 1.0 - cu
+    else:
+        u = a + h * xi
+        cu = ca - h * xi
+    return u, cu, h * wi
+
+
+def _integrate_graded_loop(f, levels):
+    """Per-panel integration loop: test oracle for :func:`integrate_graded`."""
+    total = 0.0
+    for panel in graded_panels(levels):
+        u, cu, w = _panel_nodes_loop(panel)
+        total += float(np.sum(w * f(u, cu)))
+    return total
 
 
 def test_unit_rule_integrates_polynomials_exactly():
@@ -38,14 +68,53 @@ def test_graded_panels_tile_the_unit_interval():
 
 def test_graded_panels_complements_are_exact():
     """Panels hugging u=1 carry the complement exactly, not via 1.0 - left."""
-    panels = graded_panels(80)
-    left, left_c, width, anchored = panels[-1]
+    m = mesh(80)
+    left, left_c, width, anchored = m.a[-1], m.ca[-1], m.h[-1], m.anchored_right[-1]
     assert anchored
     assert left_c == 2.0**-80
     assert left == 1.0  # the rounded sum is useless this deep; cu must not use it
-    u, cu, w = panel_nodes(panels[-1])
+    u, cu = m.u[-1], m.cu[-1]
     assert np.all(cu > 0) and np.all(cu < 2.0**-79)
     assert np.all(u <= 1.0)
+
+
+@pytest.mark.parametrize("levels", [1, 2, 8, 80] + DEPTHS + [MAX_LEVELS])
+def test_mesh_rows_are_the_panels_node_by_node(levels):
+    m = mesh(levels)
+    panels = graded_panels(levels)
+    assert m.u.shape == m.cu.shape == m.w.shape == (len(panels), GL_ORDER)
+    for p, panel in enumerate(panels):
+        assert (m.a[p], m.ca[p], m.h[p], m.anchored_right[p]) == panel
+        u, cu, w = _panel_nodes_loop(panel)
+        assert m.u[p].tobytes() == u.tobytes()
+        assert m.cu[p].tobytes() == cu.tobytes()
+        assert m.w[p].tobytes() == w.tobytes()
+
+
+def test_mesh_is_cached_and_read_only():
+    m = mesh(12)
+    assert mesh(12) is m
+    for array in m:
+        assert not array.flags.writeable
+    with pytest.raises(ValueError):
+        m.u[0, 0] = 0.5
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [Exponential(1.0), Pareto(3.0, 1.0), Pareto(1.8, 1.0), Lognormal(0.0, 0.5), Lognormal(0.0, 1.0)],
+    ids=repr,
+)
+@pytest.mark.parametrize("v", [1, 2, 5, 12])
+def test_integrate_graded_bit_identical_to_panel_loop(dist, v):
+    """The extreme-moment integrands, at every rung up to depth 384."""
+    integrands = (
+        lambda u, cu: dist._q(u, cu) * u ** (v - 1),
+        lambda u, cu: dist._q(u, cu) * cu ** (v - 1),
+    )
+    for levels in DEPTHS:
+        for f in integrands:
+            assert integrate_graded(f, levels) == _integrate_graded_loop(f, levels)
 
 
 def test_integrate_graded_polynomial():

@@ -1,5 +1,7 @@
 """CSV ingestion, descriptive statistics, report rows, density output."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -265,6 +267,20 @@ def test_emit_density_explicit_bandwidth(tmp_path):
     assert [line.split(",")[2] for line in out.read_text().splitlines()[1:]] == ["0"] * 4
     with pytest.raises(InvalidBandwidth):
         emit_density(s, out, bandwidth=0.0)
+
+
+@pytest.mark.parametrize(
+    "values,bandwidth",
+    [
+        ([1.0, 2.0, 3.0], 1e-309),  # the kernel normaliser overflows
+        ([1e308, 1.5e308], 5e-324),  # the scaled bandwidth underflows to 0
+    ],
+)
+def test_emit_density_rejects_a_vanishing_bandwidth(tmp_path, values, bandwidth):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(InvalidBandwidth, match=repr(bandwidth)):
+            emit_density(make_sample(values), tmp_path / "d.csv", bandwidth=bandwidth)
 
 
 @pytest.mark.parametrize("bandwidth", [None, 1e307])

@@ -11,6 +11,7 @@ from gimtools import (
     OrderExceedsSample,
     Pareto,
     ParseError,
+    SampleTooSmall,
     SeededStream,
     SimCell,
     default_grid,
@@ -114,6 +115,12 @@ def test_sim_cell_validation():
             SimCell(Exponential(1.0), n=10, v=bad)
     with pytest.raises(OrderExceedsSample):  # the grid builder does not truncate
         default_grid([Exponential(1.0)], orders=(2.5,))
+    for bad in (0, -3, 20.5, 20.0, True):
+        with pytest.raises(SampleTooSmall, match="sample size n must be a positive integer"):
+            SimCell(Exponential(1.0), n=bad, v=1)
+    for sizes in ((20.5,), (True,)):
+        with pytest.raises(SampleTooSmall, match=repr(sizes[0])):
+            default_grid([Exponential(1.0)], sizes=sizes)
 
 
 # ---------------------------------------------------------------------------
