@@ -64,9 +64,10 @@ def make_sample(raw):
     Returns
     -------
     IncomeSample
-        A sorted copy of the input.  Sorting is stable, so blocks of tied
-        values keep their input order (the estimators are unaffected by
-        intra-block order either way).
+        A sorted copy of the input, bit for bit what a stable sort gives.
+        Among valid incomes only 0.0 and -0.0 tie with different bits, so
+        numpy's default (unstable) sort is followed by writing the leading
+        zero block back in input order.
 
     Raises
     ------
@@ -86,7 +87,10 @@ def make_sample(raw):
     if np.any(values < 0):
         bad = int(np.flatnonzero(values < 0)[0])
         raise NegativeIncome(f"negative income at position {bad}: {values[bad]!r}")
-    return IncomeSample(np.sort(values, kind="stable"))
+    ordered = np.sort(values)
+    zeros = values[values == 0]
+    ordered[: zeros.size] = zeros
+    return IncomeSample(ordered)
 
 
 def as_sample(data):

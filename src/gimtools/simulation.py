@@ -39,8 +39,9 @@ class SimCell:
     base_seed: int = 0
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
+        reps = self.replications
+        if isinstance(reps, bool) or not isinstance(reps, (int, np.integer)) or reps < 1:
+            raise ValueError(f"replications must be a positive integer, got {reps!r}")
         n = self.n
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
             raise SampleTooSmall(f"sample size n must be a positive integer, got {n!r}")

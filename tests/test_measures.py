@@ -77,6 +77,30 @@ def test_make_sample_rejects_bad_input():
 # subset weights
 
 
+# valid incomes with the ties a sort may reorder: 0.0 beside -0.0, repeats,
+# subnormals and the float maximum
+INCOMES = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 2.5, 1e308, 1.7976931348623157e308]),
+        st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    ),
+    min_size=1,
+    max_size=300,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(INCOMES)
+def test_make_sample_is_bitwise_the_stable_sort(xs):
+    raw = np.array(xs)
+    assert make_sample(raw).values.tobytes() == np.sort(raw, kind="stable").tobytes()
+
+
+def test_make_sample_keeps_signed_zeros_in_input_order():
+    raw = np.random.default_rng(5).choice([0.0, -0.0, 1.0, 1e-310, 2.0], 20_000)
+    assert make_sample(raw).values.tobytes() == np.sort(raw, kind="stable").tobytes()
+
+
 def test_subset_weights_small_case():
     w_max, w_min = subset_weights(3, 2)
     assert_allclose(w_max, [0.0, 1 / 3, 2 / 3], rtol=0, atol=0)

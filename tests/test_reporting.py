@@ -1,9 +1,14 @@
 """CSV ingestion, descriptive statistics, report rows, density output."""
 
+import csv
+import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gimtools import (
@@ -22,7 +27,12 @@ from gimtools import (
     make_sample,
     report,
 )
+from gimtools import reporting
 from gimtools.reporting import silverman_bandwidth
+
+# np.loadtxt warns on a body with no cells; the block reader must not call it
+# on one
+pytestmark = pytest.mark.filterwarnings("error::UserWarning")
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +119,157 @@ def test_ingest_all_blank_column(tmp_path):
 def test_ingest_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         ingest_csv(tmp_path / "nope.csv", column=0)
+
+
+def reference_ingest(path, column, delimiter, has_header):
+    """What ``ingest_csv`` gave before the block reader: the csv.reader loop
+    and a stable sort."""
+    values, skipped = reporting._read_rows(path, column, delimiter, has_header)
+    if not values:
+        raise EmptyColumn(f"{path}: no usable values in column {column!r}")
+    return np.sort(np.array(values), kind="stable"), skipped
+
+
+def outcome(call):
+    """``("ok", result)`` or ``("error", type, message, line)``."""
+    try:
+        return ("ok", call())
+    except Exception as exc:  # noqa: BLE001 - every error is compared
+        return ("error", type(exc), str(exc), getattr(exc, "line", None))
+
+
+def assert_same_ingest(path, column, delimiter, has_header):
+    """``ingest_csv`` gives the reference's sample bits, skipped count or error."""
+    got = outcome(lambda: ingest_csv(path, column, delimiter, has_header))
+    want = outcome(lambda: reference_ingest(path, column, delimiter, has_header))
+    if want[0] == "ok":
+        assert got[0] == "ok", got
+        assert got[1].sample.values.tobytes() == want[1][0].tobytes()
+        assert got[1].skipped == want[1][1]
+    else:
+        assert got == want
+
+
+NUMBERS = st.one_of(
+    st.floats(min_value=0.0, max_value=1e12).map(repr),
+    st.floats(min_value=0.0, max_value=1e6).map("{:.2f}".format),
+    st.integers(min_value=0, max_value=10**6).map(str),
+)
+# cells the fast path must read exactly as csv.reader does, or hand over
+SPECIAL_CELLS = [
+    "", " ", "  ", "\t", " 7 ", "nan", "NaN", "inf", "-inf", "1e400", "1e-400",
+    "0", "-0", "-0.0", "-1", "-2.5", "1_0", "abc", '"5"', '"6,5"', "#5", "5#",
+    "0x10", "+3", '"x,5,y"',
+]
+
+
+@st.composite
+def csv_files(draw):
+    """A CSV text and the ``ingest_csv`` arguments that read it.
+
+    Each file mixes numbers with a few special cells and row shapes, so some
+    files stay on the fast path and the rest test one hazard at a time.
+    """
+    delimiter = draw(st.sampled_from([",", ",", ",", ";", "\t", " "]))
+    width = draw(st.integers(min_value=1, max_value=3))
+    index = draw(st.integers(min_value=0, max_value=width - 1))
+    has_header = draw(st.booleans())
+    specials = draw(st.lists(st.sampled_from(SPECIAL_CELLS), max_size=3, unique=True))
+    cell = st.one_of(NUMBERS, st.sampled_from(specials)) if specials else NUMBERS
+    shapes = ["full"] + draw(st.lists(st.sampled_from(["short", "blank"]), max_size=2))
+    lines = []
+    if has_header:
+        names = [f"c{k}" for k in range(width)]
+        names[index] = "income"
+        lines.append(delimiter.join(names))
+    for _ in range(draw(st.integers(min_value=0, max_value=30))):
+        shape = draw(st.sampled_from(shapes))
+        if shape == "blank":
+            lines.append("")
+            continue
+        cells = [draw(cell) for _ in range(width)]
+        if shape == "short":
+            cells = cells[: draw(st.integers(min_value=1, max_value=width))]
+        lines.append(delimiter.join(cells))
+    newline = draw(st.sampled_from(["\n"] * 5 + ["\r\n"]))
+    text = newline.join(lines)
+    if lines and draw(st.booleans()):  # else no final newline
+        text += newline
+    column = "income" if has_header and draw(st.booleans()) else index
+    return text, column, delimiter, has_header
+
+
+@settings(max_examples=400, deadline=None)
+@given(csv_files(), st.sampled_from([1, 5, 64, 1 << 16]))
+@example(("income\n1,\n2\n", 0, ",", True), 1 << 16)
+@example(("a,income\n1,\n2,5\n-1,3\n", 0, ",", True), 1 << 16)
+@example(("a,income\n1,\n2,\n", 1, ",", True), 1)
+@example(('"x,5,y",7\n', 1, ",", False), 1 << 16)
+@example(("\r\n0.0", 0, ",", False), 1)
+def test_ingest_fast_path_matches_csv_reader(tmp_path_factory, case, block):
+    """The block reader gives the csv.reader loop's values in file order, and
+    ``ingest_csv`` its sample, skipped count and error, at any block size."""
+    text, column, delimiter, has_header = case
+    path = tmp_path_factory.mktemp("ingest") / "incomes.csv"
+    path.write_bytes(text.encode())
+    with mock.patch.object(reporting, "_BLOCK", block):
+        assert_same_ingest(path, column, delimiter, has_header)
+        with open(path, newline="") as handle:
+            reader = csv.reader(handle, delimiter=delimiter)
+            index, _ = reporting._column_index(reader, path, column, has_header)
+            fast = reporting._read_blocks(handle, delimiter, index)
+    if fast is not None:
+        # accepted blocks hold csv.reader's cells, value for value
+        values, skipped = reporting._read_rows(path, column, delimiter, has_header)
+        assert fast[0].tobytes() == np.array(values, dtype=float).tobytes()
+        assert fast[1] == skipped
+
+
+def test_ingest_fast_path_reads_clean_files(tmp_path):
+    """Blank income cells in the last column stay on the fast path."""
+    path = write(tmp_path, "id,income\n1,10\n2,\n3,-0\n4,0\n5,2.5\n6,\n")
+    with mock.patch.object(reporting, "_read_rows", side_effect=AssertionError):
+        result = ingest_csv(path, column="income")
+    assert result.skipped == 2
+    assert result.sample.values.tobytes() == np.array([-0.0, 0.0, 2.5, 10.0]).tobytes()
+
+
+@pytest.mark.parametrize("delimiter", [",", "\n", "\r", '"', "-", "1", "."])
+def test_ingest_odd_delimiters_match_csv_reader(tmp_path, delimiter):
+    text = "".join(f"{k}{delimiter}{cell}\n" for k, cell in enumerate(["5", "", "7.5"]))
+    path = write(tmp_path, "a" + delimiter + "income\n" + text)
+    assert_same_ingest(path, 1, delimiter, True)
+
+
+def test_ingest_bad_cell_before_undecodable_bytes_reports_line(tmp_path):
+    """The block reader decodes far ahead; the row reader reports the bad
+    cell that comes first."""
+    path = tmp_path / "incomes.csv"
+    path.write_bytes(b"income\n10\ntwenty\n" + b"5\n" * 10_000 + b"\xff\n")
+    with pytest.raises(ParseError) as info:
+        ingest_csv(path, column="income")
+    assert info.value.line == 3
+
+
+def test_ingest_keeps_the_csv_field_size_limit(tmp_path):
+    path = write(tmp_path, "id,income\n1,12345\n2,123456789\n")
+    limit = csv.field_size_limit(8)
+    try:
+        with pytest.raises(csv.Error, match="field larger than field limit"):
+            ingest_csv(path, column="income")
+    finally:
+        csv.field_size_limit(limit)
+
+
+def test_ingest_bad_cell_past_the_first_block_reports_line(tmp_path):
+    rows = 20_000  # about 250 KB: four blocks
+    bad = 15_001  # past the first block
+    body = [f"{i},{i % 9973}.25\n" for i in range(rows)]
+    body[bad - 2] = f"{bad - 2},-4.5\n"  # line 1 is the header
+    path = write(tmp_path, "id,income\n" + "".join(body))
+    assert path.stat().st_size > 2 * reporting._BLOCK
+    with pytest.raises(NegativeIncome, match=f"line {bad}: negative income -4.5"):
+        ingest_csv(path, column="income")
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +442,28 @@ def test_emit_density_rejects_a_vanishing_bandwidth(tmp_path, values, bandwidth)
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(InvalidBandwidth, match=repr(bandwidth)):
             emit_density(make_sample(values), tmp_path / "d.csv", bandwidth=bandwidth)
+
+
+@pytest.mark.parametrize(
+    "values,bandwidth",
+    [
+        ([1e-300, 2e-300, 3e-300], 1e10),  # the scaled bandwidth overflows
+        ([1.0, 2.0, 3.0], 1.5e308),  # the kernel normaliser overflows
+    ],
+)
+def test_emit_density_huge_bandwidth_gives_the_kernel_peak(tmp_path, values, bandwidth):
+    """A kernel far wider than the sample is flat across it: every density
+    is its peak, 1 / (h sqrt(2 pi)), not a silent 0."""
+    out = tmp_path / "d.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        emit_density(
+            make_sample(values), out, bins=3, bandwidth=bandwidth, svg_path=tmp_path / "d.svg"
+        )
+    peak = 1.0 / math.sqrt(2.0 * math.pi) / bandwidth
+    densities = [row.split(",")[2] for row in out.read_text().splitlines()[1:]]
+    assert densities == [f"{peak:.10g}"] * 3  # the CSV holds 10 significant digits
+    assert "nan" not in (tmp_path / "d.svg").read_text()
 
 
 @pytest.mark.parametrize("bandwidth", [None, 1e307])

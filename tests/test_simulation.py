@@ -106,8 +106,9 @@ def test_run_cell_equals_library_estimators_exactly(cell):
 
 
 def test_sim_cell_validation():
-    with pytest.raises(ValueError):
-        SimCell(Exponential(1.0), n=10, v=2, replications=0)
+    for bad in (0, 2.5, True):
+        with pytest.raises(ValueError, match="replications must be a positive integer"):
+            SimCell(Exponential(1.0), n=10, v=2, replications=bad)
     with pytest.raises(OrderExceedsSample):
         SimCell(Exponential(1.0), n=2, v=3)
     for bad in (0, -1, 2.0, True):
