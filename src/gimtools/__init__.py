@@ -27,6 +27,7 @@ from .errors import (
     EmptySample,
     EnumerationTooLarge,
     GimError,
+    InvalidArgument,
     InvalidBandwidth,
     InvalidLevel,
     InvalidProbability,
@@ -145,4 +146,5 @@ __all__ = [
     "ParseError",
     "EmptyColumn",
     "InvalidBandwidth",
+    "InvalidArgument",
 ]

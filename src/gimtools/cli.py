@@ -26,8 +26,8 @@ from .distributions import (
     draw_sample,
     theoretical_gim,
 )
-from .errors import GimError
-from .inference import edf_numerator_variance, jackknife_variance
+from .errors import GimError, InvalidArgument, check_integer
+from .inference import METHODS, edf_numerator_variance, jackknife_variance
 from .measures import (
     _check_order,
     gim_edf,
@@ -56,7 +56,7 @@ def _add_input_options(parser):
     )
 
 
-def _add_output_options(parser, formats=("md", "csv")):
+def _add_output_options(parser, formats):
     parser.add_argument(
         "--format", choices=formats, default=formats[0], help="output format"
     )
@@ -219,7 +219,7 @@ def _check(name, ok, failures):
 
 def _cmd_selftest(args):
     """Fast internal consistency suite (the oracle-equivalence checks)."""
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(check_integer(args.seed, "seed", InvalidArgument, 0))
     failures = []
 
     worst = 0.0
@@ -307,10 +307,10 @@ def build_parser():
     p.add_argument("--v", type=_parse_orders, default=[2, 3],
                    help="comma-separated orders, e.g. 2,3")
     p.add_argument("--ci", type=float, default=0.95, help="confidence level")
-    p.add_argument("--se", choices=("jackknife", "plugin"), default="jackknife",
+    p.add_argument("--se", choices=METHODS, default="jackknife",
                    help="interval machinery")
     p.add_argument("--label", help="dataset label (default: input path)")
-    _add_output_options(p)
+    _add_output_options(p, formats=("md", "csv"))
     p.set_defaults(func=_cmd_report)
 
     p = commands.add_parser("density", help="histogram and kernel density CSV")

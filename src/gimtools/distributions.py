@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from . import quadrature
-from .errors import InvalidProbability
+from .errors import InvalidProbability, SampleTooSmall, check_integer
 from .measures import _check_order
 from .samples import IncomeSample
 
@@ -293,8 +293,7 @@ def draw_sample(dist, n, stream):
     any platform, regardless of what other streams are in use — that is
     the property the Monte Carlo harness builds its determinism on.
     """
-    if n < 1:
-        raise ValueError("sample size must be >= 1")
+    n = check_integer(n, "sample size n", SampleTooSmall, 1)
     # already validated by construction: finite, positive support
     return IncomeSample(inverse_transform(dist, stream.generator().random(n)))
 

@@ -1,8 +1,11 @@
-"""Exception hierarchy for gimtools.
+"""Exception hierarchy for gimtools, and the one integer-argument check.
 
 Every error raised on purpose by this package derives from :class:`GimError`,
 so callers (and the CLI) can catch one type and turn it into a diagnostic.
+Every integer argument is validated by :func:`check_integer`.
 """
+
+import numpy as np
 
 
 class GimError(Exception):
@@ -29,8 +32,8 @@ class OrderExceedsSample(GimError, ValueError):
     """Raised when the order v is not a positive integer, or exceeds n."""
 
 
-class SampleTooSmall(GimError):
-    """Raised when a statistic needs more observations than provided."""
+class SampleTooSmall(GimError, ValueError):
+    """Raised when a sample size is not a positive integer, or too small."""
 
 
 class ZeroMean(GimError):
@@ -81,3 +84,24 @@ class EmptyColumn(GimError):
 
 class InvalidBandwidth(GimError):
     """Raised for non-positive kernel bandwidths."""
+
+
+class InvalidArgument(GimError, ValueError):
+    """Raised for a count or seed that is not an integer in its range."""
+
+
+def check_integer(value, name, error, low, high=None):
+    """``value`` as an int, else ``error`` with a message naming ``name`` and it.
+
+    ``value`` must be an int or numpy integer, not a bool, in ``[low, high)``
+    (``high=None``: no upper bound).
+    """
+    if (
+        isinstance(value, bool) or not isinstance(value, (int, np.integer))
+        or value < low or (high is not None and value >= high)
+    ):
+        want = "a positive integer" if low == 1 else f"an integer >= {low}"
+        if high is not None:
+            want = f"an integer in [{low}, {high})"
+        raise error(f"{name} must be {want}, got {value!r}")
+    return int(value)

@@ -234,7 +234,7 @@ def _edf_numerator_variance_at(dist, v, levels):
     with Phi(u) = (u^(v-1) - (1-u)^(v-1)) * Q'(u).  Off-diagonal panel
     pairs separate into products (one prefix accumulator), and only the
     within-panel diagonal needs a nested rule.  Phi runs on whole mesh
-    arrays; the scalar accumulation runs over per-panel sums in panel order.
+    arrays; the per-panel sums are accumulated in panel order by ``np.cumsum``.
     """
     xi, wi = quadrature.unit_rule()
     m = quadrature.mesh(levels)
@@ -255,17 +255,12 @@ def _edf_numerator_variance_at(dist, v, levels):
         cuu = np.where(right, m.cu[rows, :, None] + step * (1.0 - xi), m.ca[rows, None, None] - step * xi)
         inner[rows] = hk * np.sum(wi * uu * phi(uu, cuu), axis=2)
     outer = m.w * m.cu * f
-    panel_a = np.sum(m.w * m.u * f, axis=1).tolist()
-    panel_c = np.sum(outer, axis=1).tolist()
-    panel_d = np.sum(outer * inner, axis=1).tolist()
-    off_diagonal = 0.0
-    diagonal = 0.0
-    prefix = 0.0  # running int_0^a u Phi(u) du over completed panels
-    for a_sum, c_sum, d_sum in zip(panel_a, panel_c, panel_d):
-        off_diagonal += 2.0 * c_sum * prefix
-        diagonal += 2.0 * d_sum
-        prefix += a_sum
-    return v * v * (off_diagonal + diagonal)
+    # int_0^a u Phi(u) du over the panels before each one
+    prefix = np.cumsum(np.sum(m.w * m.u * f, axis=1))
+    prefix = np.concatenate(([0.0], prefix[:-1]))
+    off_diagonal = np.cumsum(2.0 * np.sum(outer, axis=1) * prefix)[-1]
+    diagonal = np.cumsum(2.0 * np.sum(outer * inner, axis=1))[-1]
+    return v * v * float(off_diagonal + diagonal)
 
 
 def edf_numerator_variance(dist, v):

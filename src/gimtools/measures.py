@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EnumerationTooLarge, OrderExceedsSample, SampleTooSmall, ZeroMean
+from .errors import EnumerationTooLarge, OrderExceedsSample, SampleTooSmall, ZeroMean, check_integer
 from .samples import as_sample
 
 
@@ -74,11 +74,10 @@ class PremiaReport:
 
 def _check_order(v, n=None):
     """``v`` as an int; raises unless it is a positive integer, at most ``n``."""
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
-        raise OrderExceedsSample(f"order v must be a positive integer, got {v!r}")
+    v = check_integer(v, "order v", OrderExceedsSample, 1)
     if n is not None and v > n:
         raise OrderExceedsSample(f"order v={v} exceeds sample size n={n}")
-    return int(v)
+    return v
 
 
 def subset_weights(n, v):

@@ -23,10 +23,10 @@ with u + cu = 1 elementwise.
 Evaluation runs on whole arrays.  :func:`mesh` builds, once per depth and
 cached, the read-only ``(P, GL_ORDER)`` node arrays of all P panels, each
 row with the same expressions a single panel would use; integrands are
-called once on those arrays.  The panel sums are then added one by one, left
-to right in panel order, so every result is bit for bit what a loop over
-the panels gives: elementwise numpy arithmetic does not depend on the
-array's shape, and only the order of the additions could move the bits.
+called once on those arrays.  ``np.cumsum`` adds the panel sums left to right
+in panel order (``np.sum`` adds pairwise), so every result is bit for bit what
+a loop over the panels gives: elementwise numpy arithmetic does not depend on
+the array's shape, and only the order of the additions could move the bits.
 """
 
 from functools import lru_cache
@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import QuadratureNoConvergence
+from .errors import InvalidArgument, QuadratureNoConvergence, check_integer
 
 GL_ORDER = 12
 # beyond this depth panel widths approach the subnormal floor and stop
@@ -58,9 +58,7 @@ def graded_panels(levels):
     ``anchored_right`` — their node positions should be derived from the
     (exactly representable) complement of the right endpoint.
     """
-    levels = min(int(levels), MAX_LEVELS)
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
+    levels = min(check_integer(levels, "levels", InvalidArgument, 1), MAX_LEVELS)
     panels = [(0.0, 1.0, 2.0 ** -levels, False)]
     for j in range(levels, 1, -1):  # [2^-j, 2^-(j-1)]
         panels.append((2.0 ** -j, 1.0 - 2.0 ** -j, 2.0 ** -j, False))
@@ -121,10 +119,7 @@ def integrate_graded(f, levels):
     per-panel sums are added left to right in panel order.
     """
     m = mesh(levels)
-    total = 0.0
-    for panel_sum in np.sum(m.w * f(m.u, m.cu), axis=1).tolist():
-        total += panel_sum
-    return total
+    return float(np.cumsum(np.sum(m.w * f(m.u, m.cu), axis=1))[-1])
 
 
 def converge(evaluate, rtol, start_levels=6):

@@ -13,7 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EmptyColumn, InvalidBandwidth, NegativeIncome, NonFinite, ParseError
+from .errors import (EmptyColumn, InvalidArgument, InvalidBandwidth, NegativeIncome, NonFinite,
+                     ParseError, check_integer)
 from .inference import METHODS, confidence_interval, jackknife_variance, ustat_variance
 from .measures import gim_ustat, gini_ustat
 from .samples import as_sample, make_sample
@@ -93,27 +94,27 @@ def ingest_csv(path, column=0, delimiter=",", has_header=True):
 
 
 def _column_index(reader, path, column, has_header):
-    """``(index, line)``: the income column and the lines the header took."""
-    if not has_header:
+    """``(index, line)``: the income column and the lines the header took.
+
+    A header name wins over a numeric string; an index must be >= 0.
+    """
+    line = int(has_header)
+    if has_header:
         try:
-            return (column if isinstance(column, int) else int(column)), 0
-        except ValueError:
-            raise ParseError(
-                f"headerless file needs a numeric column index, got {column!r}"
-            ) from None
+            header = [cell.strip() for cell in next(reader)]
+        except StopIteration:
+            raise EmptyColumn(f"{path}: file is empty") from None
+        if column in header:
+            return header.index(column), line
     try:
-        header = next(reader)
-    except StopIteration:
-        raise EmptyColumn(f"{path}: file is empty") from None
-    header = [cell.strip() for cell in header]
-    if isinstance(column, int):
-        return column, 1
-    if column in header:
-        return header.index(column), 1
-    try:
-        return int(column), 1
+        index = int(column) if isinstance(column, str) else column
     except ValueError:
-        raise ParseError(f"column {column!r} not in header {header}", line=1) from None
+        raise ParseError(
+            f"column {column!r} not in header {header}" if has_header
+            else f"headerless file needs a numeric column index, got {column!r}",
+            line=line or None,
+        ) from None
+    return check_integer(index, "column index", ParseError, 0), line
 
 
 def _read_blocks(handle, delimiter, index):
@@ -127,7 +128,7 @@ def _read_blocks(handle, delimiter, index):
     non-finite value but the sentinels.  None sends the caller to
     :func:`_read_rows`.
     """
-    if index < 0 or delimiter in "\r\n":
+    if delimiter in "\r\n":
         return None
     blank, sentinel = delimiter + "\n", delimiter + "-1\n"
     limit = csv.field_size_limit()
@@ -369,8 +370,7 @@ def emit_density(s, out_path, bins=30, bandwidth=None, svg_path=None):
     DensityResult
     """
     s = as_sample(s)
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
+    bins = check_integer(bins, "bins", InvalidArgument, 1)
     if bandwidth is None:
         bandwidth = silverman_bandwidth(s)
     elif not bandwidth > 0:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import FAMILIES, fill_stream_rows, inverse_transform, theoretical_gim
-from .errors import EmptyGrid, ParseError, SampleTooSmall
+from .errors import EmptyGrid, InvalidArgument, ParseError, SampleTooSmall, check_integer
 from .measures import KINDS, _check_order, extreme_sums, extreme_weights, gim_ratio
 
 _CHUNK = 512  # replications sampled, sorted and summed per batch
@@ -39,13 +39,10 @@ class SimCell:
     base_seed: int = 0
 
     def __post_init__(self):
-        reps = self.replications
-        if isinstance(reps, bool) or not isinstance(reps, (int, np.integer)) or reps < 1:
-            raise ValueError(f"replications must be a positive integer, got {reps!r}")
-        n = self.n
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise SampleTooSmall(f"sample size n must be a positive integer, got {n!r}")
-        _check_order(self.v, n)
+        check_integer(self.replications, "replications", InvalidArgument, 1)
+        _check_order(self.v, check_integer(self.n, "sample size n", SampleTooSmall, 1))
+        # stream keys are 64-bit: 2.5 would run as seed 2 and -1 as 2**64 - 1
+        check_integer(self.base_seed, "base_seed", InvalidArgument, 0, 1 << 64)
 
 
 @dataclass(frozen=True)
@@ -60,6 +57,10 @@ class SimResult:
     bias_edf: float
     mse_edf: float
     mc_se_edf: float
+
+
+# the SimResult field suffix of each estimator kind
+_FIELD_TAG = dict(zip(KINDS, ("u", "edf")))
 
 
 def run_cell(cell, workers=None):
@@ -83,34 +84,22 @@ def run_cell(cell, workers=None):
     weights = tuple(extreme_weights(kind, cell.n, cell.v) for kind in KINDS)
 
     reps = cell.replications
-    est_u = np.empty(reps)
-    est_edf = np.empty(reps)
+    estimates = np.empty((len(KINDS), reps))  # one row per estimator kind
     for lo in range(0, reps, _CHUNK):
         hi = min(lo + _CHUNK, reps)
         uniforms = fill_stream_rows(np.empty((hi - lo, cell.n)), cell.base_seed, lo)
         x = inverse_transform(cell.dist, uniforms)
-        for est, (w_hi, w_lo) in zip((est_u, est_edf), weights):
+        for est, (w_hi, w_lo) in zip(estimates, weights):
             e_max, e_min, _ = extreme_sums(x, w_hi, w_lo, cell.v)
             est[lo:hi] = gim_ratio(e_max, e_min)[0]
 
-    def summarize(est):
-        bias = float(np.mean(est)) - truth
-        mse = float(np.mean((est - truth) ** 2))
-        mc_se = float(np.std(est, ddof=1)) / np.sqrt(reps) if reps > 1 else 0.0
-        return bias, mse, mc_se
-
-    bias_u, mse_u, mc_se_u = summarize(est_u)
-    bias_edf, mse_edf, mc_se_edf = summarize(est_edf)
-    return SimResult(
-        cell=cell,
-        truth=float(truth),
-        bias_u=bias_u,
-        mse_u=mse_u,
-        mc_se_u=mc_se_u,
-        bias_edf=bias_edf,
-        mse_edf=mse_edf,
-        mc_se_edf=mc_se_edf,
-    )
+    summary = {}
+    for kind, est in zip(KINDS, estimates):
+        tag = _FIELD_TAG[kind]
+        summary[f"bias_{tag}"] = float(np.mean(est)) - truth
+        summary[f"mse_{tag}"] = float(np.mean((est - truth) ** 2))
+        summary[f"mc_se_{tag}"] = float(np.std(est, ddof=1)) / np.sqrt(reps) if reps > 1 else 0.0
+    return SimResult(cell=cell, truth=float(truth), **summary)
 
 
 def run_grid(cells):
@@ -238,14 +227,10 @@ def emit_table(results, format="csv"):
         for res in results:
             cell = res.cell
             prefix = f"{cell.dist.name},{cell.dist.params_label()},{cell.v},{cell.n}"
-            lines.append(
-                f"{prefix},ustat,{res.bias_u:.6g},{res.mse_u:.6g},"
-                f"{res.mc_se_u:.6g},{res.truth:.6g}"
-            )
-            lines.append(
-                f"{prefix},edf,{res.bias_edf:.6g},{res.mse_edf:.6g},"
-                f"{res.mc_se_edf:.6g},{res.truth:.6g}"
-            )
+            for kind in KINDS:
+                tag = _FIELD_TAG[kind]
+                bias, mse, mc_se = (getattr(res, f"{s}_{tag}") for s in ("bias", "mse", "mc_se"))
+                lines.append(f"{prefix},{kind},{bias:.6g},{mse:.6g},{mc_se:.6g},{res.truth:.6g}")
         return "\n".join(lines) + "\n"
     if format == "md":
         header = (

@@ -208,6 +208,26 @@ def test_negative_income_exits_one(tmp_path, capsys):
     assert "negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--reps", "0"],
+        ["simulate", "--reps", "5", "--seed", "-1"],
+        ["selftest", "--seed", "-1"],
+        ["density", "--input", "{csv}", "--bins", "0", "--out", "{out}"],
+        ["report", "--input", "{csv}", "--column", "-5"],
+    ],
+    ids=["reps", "seed", "selftest-seed", "bins", "column"],
+)
+def test_bad_integer_argument_fails_in_one_line(fixture_csv, tmp_path, capsys, argv):
+    argv = [arg.format(csv=fixture_csv, out=tmp_path / "d.csv") for arg in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"gim {argv[0]}: error: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as info:
         main(["--version"])

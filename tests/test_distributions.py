@@ -15,6 +15,7 @@ from gimtools import (
     InvalidProbability,
     Lognormal,
     Pareto,
+    SampleTooSmall,
     SeededStream,
     draw_sample,
     gim_ustat,
@@ -161,6 +162,9 @@ def test_draw_sample_mean_is_sane():
 def test_draw_sample_validates_n():
     with pytest.raises(ValueError):
         draw_sample(Exponential(1.0), 0, SeededStream(1, 0))
+    for bad in (2.5, True):
+        with pytest.raises(SampleTooSmall, match=f"sample size n must be a positive integer, got {bad!r}"):
+            draw_sample(Exponential(1.0), bad, SeededStream(1, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gimtools import Exponential, Lognormal, Pareto, QuadratureNoConvergence
+from gimtools import Exponential, InvalidArgument, Lognormal, Pareto, QuadratureNoConvergence
 from gimtools.quadrature import (
     GL_ORDER,
     MAX_LEVELS,
@@ -64,6 +64,14 @@ def test_graded_panels_tile_the_unit_interval():
     for left, left_c, _, anchored in panels:
         if not anchored:
             assert left + left_c == 1.0
+
+
+def test_graded_panels_reject_a_non_integer_depth():
+    # int() would truncate 2.5 to depth 2
+    for bad in (0, 2.5, True):
+        with pytest.raises(InvalidArgument, match=f"levels must be a positive integer, got {bad!r}"):
+            graded_panels(bad)
+    assert len(graded_panels(np.int64(3))) == len(graded_panels(3))
 
 
 def test_graded_panels_complements_are_exact():

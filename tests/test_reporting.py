@@ -14,6 +14,7 @@ from numpy.testing import assert_allclose
 from gimtools import (
     EmptyColumn,
     Exponential,
+    InvalidArgument,
     InvalidBandwidth,
     NegativeIncome,
     NonFinite,
@@ -114,6 +115,15 @@ def test_ingest_all_blank_column(tmp_path):
     path = write(tmp_path, "income\n\n\n")
     with pytest.raises(EmptyColumn):
         ingest_csv(path, column="income")
+
+
+@pytest.mark.parametrize("column", [-1, -5, "-1"], ids=["int-1", "int-5", "str-1"])
+def test_ingest_rejects_a_negative_column_index(tmp_path, column):
+    # the index is 0-based, never counted from the end
+    path = write(tmp_path, "id,income\n1,10\n2,20\n")
+    for has_header in (True, False):
+        with pytest.raises(ParseError, match=f"column index must be an integer >= 0, got {int(column)}"):
+            ingest_csv(path, column=column, has_header=has_header)
 
 
 def test_ingest_missing_file(tmp_path):
@@ -493,6 +503,13 @@ def test_emit_density_near_float_min_keeps_midpoints_finite(tmp_path):
     assert np.all(np.isfinite(rows[:, 0])) and np.all(rows[:, 0] > 0)
     assert np.all(np.isinf(rows[:, 2]))
     assert "nan" not in (tmp_path / "tiny.svg").read_text()
+
+
+@pytest.mark.parametrize("bins", [0, 2.5, True])
+def test_emit_density_rejects_bad_bins(tmp_path, bins):
+    with pytest.raises(InvalidArgument, match=f"bins must be a positive integer, got {bins!r}"):
+        emit_density(make_sample([1.0, 2.0, 3.0]), tmp_path / "d.csv", bins=bins)
+    assert not (tmp_path / "d.csv").exists()
 
 
 def test_emit_density_svg(tmp_path):

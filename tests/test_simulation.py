@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from gimtools import (
     EmptyGrid,
     Exponential,
+    InvalidArgument,
     Lognormal,
     OrderExceedsSample,
     Pareto,
@@ -122,6 +123,13 @@ def test_sim_cell_validation():
     for sizes in ((20.5,), (True,)):
         with pytest.raises(SampleTooSmall, match=repr(sizes[0])):
             default_grid([Exponential(1.0)], sizes=sizes)
+    # a stream key is a 64-bit integer: no truncation, no wrap-around
+    for bad in (2.5, True, "3", -1, 2**64):
+        with pytest.raises(InvalidArgument, match="base_seed must be an integer") as info:
+            SimCell(Exponential(1.0), n=10, v=2, base_seed=bad)
+        assert str(info.value).endswith(f"got {bad!r}")
+    for good in (0, np.uint64(2**64 - 1)):
+        assert SimCell(Exponential(1.0), n=10, v=2, base_seed=good).base_seed == good
 
 
 # ---------------------------------------------------------------------------
