@@ -219,7 +219,7 @@ def _check(name, ok, failures):
 
 def _cmd_selftest(args):
     """Fast internal consistency suite (the oracle-equivalence checks)."""
-    rng = np.random.default_rng(check_integer(args.seed, "seed", InvalidArgument, 0))
+    rng = np.random.default_rng(check_integer(args.seed, "seed", InvalidArgument, 0, 1 << 64))
     failures = []
 
     worst = 0.0

@@ -16,16 +16,19 @@ quadrature of the quantile-domain integrals
 
 on the endpoint-graded panels of :mod:`gimtools.quadrature` (heavy tails
 make the integrand blow up at u -> 1; the grading absorbs that).
+
+Only the lognormal needs scipy (``scipy.special.ndtr`` and ``ndtri``).  Its
+methods import it on first use, so importing this module, and every
+exponential and Pareto path, loads numpy alone.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from . import quadrature
-from .errors import InvalidProbability, SampleTooSmall, check_integer
+from .errors import InvalidArgument, InvalidProbability, SampleTooSmall, check_integer
 from .measures import _check_order
 from .samples import IncomeSample
 
@@ -119,7 +122,7 @@ class Exponential(Distribution):
 
     def __post_init__(self):
         if not self.rate > 0:
-            raise ValueError("rate must be positive")
+            raise InvalidArgument(f"rate must be positive, got {self.rate!r}")
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -163,9 +166,11 @@ class Pareto(Distribution):
 
     def __post_init__(self):
         if not self.shape > 1:
-            raise ValueError("shape must exceed 1 (finite mean required)")
+            raise InvalidArgument(
+                f"shape must exceed 1 (finite mean required), got {self.shape!r}"
+            )
         if not self.scale > 0:
-            raise ValueError("scale must be positive")
+            raise InvalidArgument(f"scale must be positive, got {self.scale!r}")
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -222,9 +227,11 @@ class Lognormal(Distribution):
 
     def __post_init__(self):
         if not self.sdlog > 0:
-            raise ValueError("sdlog must be positive")
+            raise InvalidArgument(f"sdlog must be positive, got {self.sdlog!r}")
 
     def cdf(self, x):
+        from scipy.special import ndtr
+
         x = np.asarray(x, dtype=float)
         inside = x > 0
         safe = np.where(inside, x, 1.0)
@@ -240,6 +247,8 @@ class Lognormal(Distribution):
         return float(out) if out.ndim == 0 else out
 
     def _z(self, u, cu):
+        from scipy.special import ndtri
+
         # standard normal quantile, computed from whichever tail is accurate
         return np.where(u <= 0.5, ndtri(np.minimum(u, 0.5)), -ndtri(np.minimum(cu, 0.5)))
 
@@ -260,6 +269,8 @@ class Lognormal(Distribution):
         if v == 2:
             # E max_2 = 2 mu Phi(sdlog/sqrt(2)): X1/X2 is lognormal, so
             # P(X1 > X2 given X1) folds into a normal orthant probability
+            from scipy.special import ndtr
+
             mu = self.mean()
             p = float(ndtr(self.sdlog / math.sqrt(2.0)))
             return 2.0 * mu * p, 2.0 * mu * (1.0 - p)

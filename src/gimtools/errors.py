@@ -87,7 +87,7 @@ class InvalidBandwidth(GimError):
 
 
 class InvalidArgument(GimError, ValueError):
-    """Raised for a count or seed that is not an integer in its range."""
+    """Raised for a count, seed or distribution parameter outside its range."""
 
 
 def check_integer(value, name, error, low, high=None):

@@ -9,7 +9,10 @@ normal for both estimators.  This module provides:
   ratio built from it (method tag ``"plugin"``);
 * ``jackknife_variance`` — exact delete-1 jackknife for either estimator
   (method tag ``"jackknife"``), computed in O(n) with prefix/suffix sums;
-* ``confidence_interval`` — normal-approximation intervals clamped to [0, 1];
+* ``confidence_interval`` — normal-approximation intervals clamped to [0, 1],
+  with the normal quantile from :class:`statistics.NormalDist` (scipy is not
+  loaded; the quantile agrees with ``scipy.special.ndtri`` to about 1e-15
+  relative);
 * ``edf_numerator_variance`` — the asymptotic variance of the sqrt(n)-scaled
   plug-in numerator, evaluated by graded quadrature of its covariance
   double integral.
@@ -23,9 +26,9 @@ Both are reported so the two can be compared side by side.
 
 import math
 from dataclasses import dataclass, replace
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import quadrature
 from .errors import InvalidLevel, InvalidStdError, SampleTooSmall
@@ -208,7 +211,7 @@ def confidence_interval(point, ve, level=0.95):
         raise InvalidStdError(
             f"std_error must be finite and non-negative, got {ve.std_error!r}"
         )
-    z = float(ndtri((1.0 + level) / 2.0))
+    z = NormalDist().inv_cdf((1.0 + level) / 2.0)
     low = min(max(point - z * ve.std_error, 0.0), 1.0)
     high = min(max(point + z * ve.std_error, 0.0), 1.0)
     return replace(ve, level=level, ci_low=low, ci_high=high)

@@ -214,10 +214,11 @@ def test_negative_income_exits_one(tmp_path, capsys):
         ["simulate", "--reps", "0"],
         ["simulate", "--reps", "5", "--seed", "-1"],
         ["selftest", "--seed", "-1"],
+        ["selftest", "--seed", str(1 << 64)],
         ["density", "--input", "{csv}", "--bins", "0", "--out", "{out}"],
         ["report", "--input", "{csv}", "--column", "-5"],
     ],
-    ids=["reps", "seed", "selftest-seed", "bins", "column"],
+    ids=["reps", "seed", "selftest-seed", "selftest-seed-2**64", "bins", "column"],
 )
 def test_bad_integer_argument_fails_in_one_line(fixture_csv, tmp_path, capsys, argv):
     argv = [arg.format(csv=fixture_csv, out=tmp_path / "d.csv") for arg in argv]

@@ -12,6 +12,8 @@ from scipy.special import ndtr
 
 from gimtools import (
     Exponential,
+    GimError,
+    InvalidArgument,
     InvalidProbability,
     Lognormal,
     Pareto,
@@ -90,6 +92,22 @@ def test_parameter_validation():
         Pareto(3.0, 0.0)
     with pytest.raises(ValueError):
         Lognormal(0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Exponential(0.0), "rate must be positive, got 0.0"),
+        (lambda: Pareto(1.0, 1.0), r"shape must exceed 1 \(finite mean required\), got 1.0"),
+        (lambda: Pareto(3.0, -2.0), "scale must be positive, got -2.0"),
+        (lambda: Lognormal(0.0, float("nan")), "sdlog must be positive, got nan"),
+    ],
+    ids=["exponential-rate", "pareto-shape", "pareto-scale", "lognormal-sdlog"],
+)
+def test_parameter_errors_are_typed(build, message):
+    with pytest.raises(GimError, match=message) as info:
+        build()
+    assert isinstance(info.value, InvalidArgument)
 
 
 def test_family_registry():

@@ -1,0 +1,67 @@
+"""Import discipline: gimtools loads scipy only when a Lognormal needs it.
+
+The test process already holds scipy, so the check runs in a fresh
+interpreter that asserts ``'scipy' not in sys.modules`` after each step.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import gimtools
+
+SCRIPT = textwrap.dedent(
+    """
+    import sys
+
+    def clean(step):
+        assert "scipy" not in sys.modules, f"scipy loaded by {step}"
+
+    import gimtools
+    clean("import gimtools")
+
+    from gimtools import (
+        Exponential, Lognormal, Pareto, SeededStream, draw_sample,
+        edf_numerator_variance, theoretical_gim,
+    )
+    from gimtools.cli import main
+
+    csv, out = sys.argv[1], sys.argv[2]
+    for argv in (
+        ["report", "--input", csv, "--v", "2,3", "--ci", "0.9"],
+        ["report", "--input", csv, "--se", "plugin", "--format", "csv"],
+        ["describe", "--input", csv],
+        ["density", "--input", csv, "--bins", "4", "--out", out],
+    ):
+        assert main(argv) == 0, argv
+        clean(" ".join(argv))
+
+    for dist in (Exponential(1.0), Pareto(3.0, 1.0)):
+        theoretical_gim(dist, 3)
+        theoretical_gim(dist, 3, force_quadrature=True)
+        draw_sample(dist, 50, SeededStream(1, 0))
+        edf_numerator_variance(dist, 2)
+        clean(repr(dist))
+
+    assert 0.0 < theoretical_gim(Lognormal(0.0, 1.0), 3) < 1.0
+    assert "scipy" in sys.modules, "Lognormal ran without scipy"
+    print("ok")
+    """
+)
+
+
+def test_scipy_loads_only_for_lognormal(tmp_path):
+    csv = tmp_path / "incomes.csv"
+    csv.write_text("income\n" + "".join(f"{x}\n" for x in (3, 1, 4, 1, 5, 9, 2, 6, 5, 3)))
+    env = dict(os.environ, PYTHONPATH=str(Path(gimtools.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(csv), str(tmp_path / "density.csv")],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("ok\n")

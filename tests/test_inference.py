@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import ndtri
 
 from gimtools import (
     Exponential,
@@ -299,6 +300,14 @@ def test_confidence_interval_widens_with_level():
     w90 = confidence_interval(0.5, ve, 0.90)
     w99 = confidence_interval(0.5, ve, 0.99)
     assert (w99.ci_high - w99.ci_low) > (w90.ci_high - w90.ci_low)
+
+
+def test_confidence_interval_z_matches_ndtri():
+    # point 0 and a power-of-two std_error make ci_high / std_error exactly z
+    ve = VarianceEstimate(variance=2.0**-6, method="jackknife", std_error=2.0**-3)
+    levels = np.linspace(0.001, 0.999, 999)
+    z = np.array([confidence_interval(0.0, ve, float(level)).ci_high * 8.0 for level in levels])
+    assert_allclose(z, ndtri((1.0 + levels) / 2.0), rtol=2e-15, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
