@@ -13,6 +13,8 @@ stderr otherwise.
 """
 
 import argparse
+import csv
+import io
 import sys
 
 import numpy as np
@@ -144,13 +146,17 @@ def _cmd_report(args):
         label=label,
     )
     if args.format == "csv":
-        lines = ["label,gini,v,gim,ci_low,ci_high,level,se_method"]
+        # csv.writer quotes a label that holds a comma, a quote or a newline
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(["label", "gini", "v", "gim", "ci_low", "ci_high", "level", "se_method"])
         for entry in row.entries:
-            lines.append(
-                f"{row.label},{row.gini:.6g},{entry.v},{entry.value:.6g},"
-                f"{entry.ci_low:.6g},{entry.ci_high:.6g},{args.ci:g},{entry.se_method}"
-            )
-        text = "\n".join(lines) + "\n"
+            writer.writerow([
+                row.label, f"{row.gini:.6g}", entry.v, f"{entry.value:.6g}",
+                f"{entry.ci_low:.6g}", f"{entry.ci_high:.6g}", f"{args.ci:g}",
+                entry.se_method,
+            ])
+        text = buffer.getvalue()
     else:
         lines = [
             f"dataset: {row.label}",

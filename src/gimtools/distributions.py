@@ -17,9 +17,10 @@ quadrature of the quantile-domain integrals
 on the endpoint-graded panels of :mod:`gimtools.quadrature` (heavy tails
 make the integrand blow up at u -> 1; the grading absorbs that).
 
-Only the lognormal needs scipy (``scipy.special.ndtr`` and ``ndtri``).  Its
-methods import it on first use, so importing this module, and every
-exponential and Pareto path, loads numpy alone.
+numpy is the only runtime dependency.  The lognormal's normal quantile is a
+numpy port of the Cephes ``ndtri`` rational approximations (the algorithm
+behind ``scipy.special.ndtri``), and its normal cdf takes ``math.erf`` /
+``math.erfc`` through the Cephes ``ndtr`` branch.
 """
 
 import math
@@ -49,11 +50,14 @@ class SeededStream:
     seed: int
     stream_id: int = 0
 
+    def __post_init__(self):
+        # the key is two 64-bit words: -1 would alias 2**64 - 1, 2.5 seed 2
+        check_integer(self.seed, "seed", InvalidArgument, 0, 1 << 64)
+        check_integer(self.stream_id, "stream_id", InvalidArgument, 0, 1 << 64)
+
     def generator(self):
         """A counter-based numpy Generator keyed by (seed, stream_id)."""
-        key = np.array(
-            [self.seed % (1 << 64), self.stream_id % (1 << 64)], dtype=np.uint64
-        )
+        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -215,6 +219,113 @@ class Pareto(Distribution):
 
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT1_2 = math.sqrt(0.5)
+
+# Cephes ndtri (S. L. Moshier) coefficients, highest power first; the Q
+# denominators are monic, their leading 1 left out as p1evl expects.
+# P0/Q0: the central branch, in (y - 1/2)^2 for exp(-2) < y <= 1/2
+_NDTRI_P0 = (
+    -5.99633501014107895267e1, 9.80010754185999661536e1,
+    -5.66762857469070293439e1, 1.39312609387279679503e1,
+    -1.23916583867381258016e0,
+)
+_NDTRI_Q0 = (
+    1.95448858338141759834e0, 4.67627912898881538453e0,
+    8.63602421390890590575e1, -2.25462687854119370527e2,
+    2.00260212380060660359e2, -8.20372256168333339912e1,
+    1.59056225126211695515e1, -1.18331621121330003142e0,
+)
+# P1/Q1: the tail in 1/x, x = sqrt(-2 log y) in [2, 8)
+_NDTRI_P1 = (
+    4.05544892305962419923e0, 3.15251094599893866154e1,
+    5.71628192246421288162e1, 4.40805073893200834700e1,
+    1.46849561928858024014e1, 2.18663306850790267539e0,
+    -1.40256079171354495875e-1, -3.50424626827848203418e-2,
+    -8.57456785154685413611e-4,
+)
+_NDTRI_Q1 = (
+    1.57799883256466749731e1, 4.53907635128879210584e1,
+    4.13172038254672030440e1, 1.50425385692907503408e1,
+    2.50464946208309415979e0, -1.42182922854787788574e-1,
+    -3.80806407691578277194e-2, -9.33259480895457427372e-4,
+)
+# P2/Q2: the far tail, x >= 8 (y < exp(-32))
+_NDTRI_P2 = (
+    3.23774891776946035970e0, 6.91522889068984211695e0,
+    3.93881025292474443415e0, 1.33303460815807542389e0,
+    2.01485389549179081538e-1, 1.23716634817820021358e-2,
+    3.01581553508235416007e-4, 2.65806974686737550832e-6,
+    6.23974539184983293730e-9,
+)
+_NDTRI_Q2 = (
+    6.02427039364742014255e0, 3.67983563856160859403e0,
+    1.37702099489081330271e0, 2.16236993594496635890e-1,
+    1.34204006088543189037e-2, 3.28014464682127739104e-4,
+    2.89247864745380683936e-6, 6.79019408009981274425e-9,
+)
+_EXP_M2 = 0.13533528323661269189  # exp(-2), where the central branch ends
+# Cephes' sqrt(2 pi) literal: correctly rounded, one ULP above _SQRT_2PI
+_NDTRI_S2PI = 2.50662827463100050242
+
+
+def _polevl(x, coef):
+    """Horner's rule, highest power first (Cephes ``polevl``), on an array."""
+    ans = x * coef[0]
+    ans += coef[1]
+    for c in coef[2:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _p1evl(x, coef):
+    """Horner's rule for a monic polynomial whose leading 1 is implied."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _ndtri_lower(y):
+    """Standard normal quantile for ``y`` in (0, 0.5], as Cephes ``ndtri``.
+
+    Each branch runs only on its own elements, gathered by index: on random
+    uniforms a boolean mask costs a mispredicted branch per element.
+    Against ``scipy.special.ndtri`` the central branch is bit-identical and
+    the tails are within 2 ULP, down to subnormal ``y``.
+    """
+    y = np.asarray(y, dtype=float)
+    flat = y.ravel()
+    x = np.empty_like(flat)
+    is_central = flat > _EXP_M2
+    central = np.flatnonzero(is_central)
+    yc = flat[central] - 0.5
+    y2 = yc * yc
+    x[central] = (yc + yc * (y2 * _polevl(y2, _NDTRI_P0) / _p1evl(y2, _NDTRI_Q0))) * _NDTRI_S2PI
+    tail = np.flatnonzero(~is_central)
+    t = np.sqrt(-2.0 * np.log(flat[tail]))
+    x0 = t - np.log(t) / t
+    z = 1.0 / t
+    x1 = np.empty_like(t)
+    near = t < 8.0
+    zn = z[near]
+    x1[near] = zn * _polevl(zn, _NDTRI_P1) / _p1evl(zn, _NDTRI_Q1)
+    far = ~near
+    zf = z[far]
+    x1[far] = zf * _polevl(zf, _NDTRI_P2) / _p1evl(zf, _NDTRI_Q2)
+    x[tail] = -(x0 - x1)
+    return x.reshape(y.shape)
+
+
+def _ndtr(a):
+    """Standard normal cdf Phi(a) for a float, by the Cephes ``ndtr`` branch."""
+    x = a * _SQRT1_2
+    z = abs(x)
+    if z < _SQRT1_2:
+        return 0.5 + 0.5 * math.erf(x)
+    y = 0.5 * math.erfc(z)
+    return 1.0 - y if x > 0 else y
 
 
 @dataclass(frozen=True, repr=False)
@@ -230,12 +341,11 @@ class Lognormal(Distribution):
             raise InvalidArgument(f"sdlog must be positive, got {self.sdlog!r}")
 
     def cdf(self, x):
-        from scipy.special import ndtr
-
         x = np.asarray(x, dtype=float)
         inside = x > 0
         safe = np.where(inside, x, 1.0)
-        out = np.where(inside, ndtr((np.log(safe) - self.meanlog) / self.sdlog), 0.0)
+        z = (np.log(safe) - self.meanlog) / self.sdlog
+        out = np.where(inside, np.vectorize(_ndtr, otypes=[float])(z), 0.0)
         return float(out) if out.ndim == 0 else out
 
     def density(self, x):
@@ -247,10 +357,10 @@ class Lognormal(Distribution):
         return float(out) if out.ndim == 0 else out
 
     def _z(self, u, cu):
-        from scipy.special import ndtri
-
-        # standard normal quantile, computed from whichever tail is accurate
-        return np.where(u <= 0.5, ndtri(np.minimum(u, 0.5)), -ndtri(np.minimum(cu, 0.5)))
+        # standard normal quantile from whichever tail is accurate, its sign
+        # taken from u; where u + cu == 1 this is ndtri(u) bit for bit (a
+        # node within a few ULP of 1/2 that breaks it moves z by a few ULP)
+        return np.copysign(_ndtri_lower(np.minimum(u, cu)), u - 0.5)
 
     def _q(self, u, cu):
         return np.exp(self.meanlog + self.sdlog * self._z(u, cu))
@@ -269,10 +379,8 @@ class Lognormal(Distribution):
         if v == 2:
             # E max_2 = 2 mu Phi(sdlog/sqrt(2)): X1/X2 is lognormal, so
             # P(X1 > X2 given X1) folds into a normal orthant probability
-            from scipy.special import ndtr
-
             mu = self.mean()
-            p = float(ndtr(self.sdlog / math.sqrt(2.0)))
+            p = _ndtr(self.sdlog / math.sqrt(2.0))
             return 2.0 * mu * p, 2.0 * mu * (1.0 - p)
         return None
 

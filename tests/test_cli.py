@@ -1,5 +1,7 @@
 """End-to-end command-line tests through main()."""
 
+import csv
+import io
 import subprocess
 import sys
 
@@ -95,6 +97,18 @@ def test_report_csv(fixture_csv, capsys):
     assert cells[0] == "toy" and cells[2] == "2" and cells[-1] == "plugin"
     assert float(cells[1]) == pytest.approx(0.5)  # pairwise Gini of 0..4
     assert float(cells[4]) <= float(cells[3]) <= float(cells[5])
+
+
+def test_report_csv_quotes_label_with_comma(fixture_csv, capsys):
+    rc = main(
+        ["report", "--input", str(fixture_csv), "--v", "2,3", "--format", "csv",
+         "--label", "north,south"]
+    )
+    assert rc == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 3
+    assert all(len(cells) == 8 for cells in rows)
+    assert [cells[0] for cells in rows[1:]] == ["north,south", "north,south"]
 
 
 def test_report_rejects_bad_order_list(fixture_csv, capsys):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from gimtools import (
     Exponential,
@@ -26,7 +26,7 @@ from gimtools import (
     theoretical_extremes,
     theoretical_gim,
 )
-from gimtools.distributions import FAMILIES, fill_stream_rows
+from gimtools.distributions import FAMILIES, _ndtr, _ndtri_lower, fill_stream_rows
 
 ALL_DISTS = [Exponential(1.0), Exponential(0.25), Pareto(3.0, 1.0), Pareto(1.7, 2.0), Lognormal(0.0, 1.0), Lognormal(1.0, 0.5)]
 
@@ -58,6 +58,43 @@ def test_lognormal_point_values():
     assert_allclose(d.quantile(0.5), 1.0, rtol=1e-12)
     assert_allclose(d.mean(), np.exp(0.5), rtol=1e-14)
     assert d.cdf(0.0) == 0.0 and d.density(0.0) == 0.0
+
+
+def _ulps(got, want):
+    return np.abs(got - want) / np.spacing(np.abs(want))
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(math.exp(-2), 0.5), (math.exp(-32), math.exp(-2)), (5e-324, math.exp(-32))],
+    ids=["central", "tail-x-below-8", "tail-x-from-8"],
+)
+def test_ndtri_port_matches_scipy(lo, hi):
+    """Each Cephes branch of the numpy normal quantile, against scipy's."""
+    rng = np.random.default_rng(20_261_018)
+    if lo > 0.1:
+        y = rng.uniform(lo, hi, 100_000)
+    else:  # log-uniform, so the deep tail down to subnormals is sampled
+        y = np.exp(rng.uniform(math.log(lo), math.log(hi), 100_000))
+    y = np.clip(y, np.nextafter(lo, 1.0), hi)
+    assert np.max(_ulps(_ndtri_lower(y), ndtri(y))) <= 2
+
+
+def test_ndtri_port_fixed_points():
+    y = np.array([5e-324, 2.0**-1022, 2.0**-53, math.exp(-32), math.exp(-2), 0.5])
+    assert np.max(_ulps(_ndtri_lower(y), ndtri(y))) <= 2
+    assert _ndtri_lower(np.array([0.5]))[0] == 0.0
+
+
+def test_normal_cdf_matches_scipy():
+    x = np.linspace(-37.0, 8.0, 20_001)
+    got = np.array([_ndtr(a) for a in x])
+    want = ndtr(x)
+    # past x = -10 the bound grows with x^2, Phi's relative condition number
+    # there: scipy's Cephes erfc and the math.erfc under _ndtr then each drift
+    # from the exact value by up to about 1e-13 near x = -35
+    bound = 1e-14 * np.maximum(1.0, (x / 10.0) ** 2)
+    assert np.all(np.abs(got - want) <= bound * want)
 
 
 @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.params_label())
@@ -132,7 +169,7 @@ def test_draw_sample_is_deterministic():
 
 
 @given(
-    st.integers(min_value=-(2**70), max_value=2**70),
+    st.integers(min_value=0, max_value=2**64 - 1),
     # five consecutive stream ids that cross a multiple of 512
     st.builds(lambda k, back: 512 * k - back, st.integers(1, 8), st.integers(1, 4)),
     st.integers(min_value=1, max_value=300),
@@ -150,6 +187,14 @@ def test_fill_stream_rows_matches_fresh_generators(seed, first, n):
     for j in range(5):
         fresh = SeededStream(seed, first + j).generator().random(n)
         assert np.array_equal(out[j], fresh)
+
+
+@pytest.mark.parametrize("bad", [-1, 2**64, 2.5, True])
+def test_seeded_stream_rejects_key_outside_64_bits(bad):
+    with pytest.raises(InvalidArgument, match=r"^seed must be an integer in \[0, 18446744073709551616\)"):
+        SeededStream(bad, 0)
+    with pytest.raises(InvalidArgument, match=r"^stream_id must be an integer in \[0, 18446744073709551616\)"):
+        SeededStream(0, bad)
 
 
 def test_draw_sample_streams_are_independent_axes():

@@ -1,4 +1,4 @@
-"""Import discipline: gimtools loads scipy only when a Lognormal needs it.
+"""Import discipline: no gimtools path loads scipy, Lognormal included.
 
 The test process already holds scipy, so the check runs in a fresh
 interpreter that asserts ``'scipy' not in sys.modules`` after each step.
@@ -38,21 +38,25 @@ SCRIPT = textwrap.dedent(
         assert main(argv) == 0, argv
         clean(" ".join(argv))
 
-    for dist in (Exponential(1.0), Pareto(3.0, 1.0)):
-        theoretical_gim(dist, 3)
+    for dist in (Exponential(1.0), Pareto(3.0, 1.0), Lognormal(0.0, 1.0)):
+        theoretical_gim(dist, 2)  # closed form
+        theoretical_gim(dist, 3)  # quadrature for the lognormal
         theoretical_gim(dist, 3, force_quadrature=True)
-        draw_sample(dist, 50, SeededStream(1, 0))
         edf_numerator_variance(dist, 2)
+        draw_sample(dist, 50, SeededStream(1, 0))
+        dist.quantile([0.01, 0.5, 0.99])
+        dist.cdf([0.5, 1.0, 2.0])
+        dist.density([0.5, 1.0, 2.0])
         clean(repr(dist))
 
-    assert 0.0 < theoretical_gim(Lognormal(0.0, 1.0), 3) < 1.0
-    assert "scipy" in sys.modules, "Lognormal ran without scipy"
+    assert main(["simulate", "--reps", "20"]) == 0
+    clean("simulate --reps 20")
     print("ok")
     """
 )
 
 
-def test_scipy_loads_only_for_lognormal(tmp_path):
+def test_no_library_path_loads_scipy(tmp_path):
     csv = tmp_path / "incomes.csv"
     csv.write_text("income\n" + "".join(f"{x}\n" for x in (3, 1, 4, 1, 5, 9, 2, 6, 5, 3)))
     env = dict(os.environ, PYTHONPATH=str(Path(gimtools.__file__).parents[1]))
