@@ -65,17 +65,10 @@ def _add_output_options(parser, formats):
     parser.add_argument("--out", help="write output here instead of stdout")
 
 
-def _column_argument(text):
-    try:
-        return int(text)
-    except ValueError:
-        return text
-
-
 def _read_sample(args):
     result = ingest_csv(
         args.input,
-        column=_column_argument(args.column),
+        column=args.column,
         delimiter=args.delimiter,
         has_header=not args.no_header,
     )

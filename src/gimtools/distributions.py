@@ -1,10 +1,12 @@
 """Parametric income distributions: sampling, theory values, quadrature.
 
 Three families cover the usual income-model territory — exponential
-(light tail), Pareto (power tail) and lognormal (log-symmetric).  Each one
-supplies cdf / quantile / density, reproducible inverse-transform sampling,
-and the theoretical order-v extreme moments E(max of v), E(min of v) that
-define the generalized inequality measure
+(light tail), Pareto (power tail) and lognormal (log-symmetric).  A family
+is its parameters plus its math; :class:`Distribution` owns the argument
+contract of cdf / density / quantile (a typed error on NaN) and the label.
+On top come reproducible inverse-transform sampling and the theoretical
+order-v extreme moments E(max of v), E(min of v) that define the
+generalized inequality measure
 
     GIM(v) = (E max_v - E min_v) / (E max_v + E min_v).
 
@@ -24,7 +26,7 @@ behind ``scipy.special.ndtri``), and its normal cdf takes ``math.erf`` /
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -70,10 +72,12 @@ def fill_stream_rows(out, seed, first):
     row, instead of constructing a generator per stream.  Returns ``out``.
     """
     rng = SeededStream(seed, first).generator()
+    if len(out):  # the last row's stream id must fit the 64-bit key too
+        check_integer(int(first) + len(out) - 1, "last stream_id", InvalidArgument, 0, 1 << 64)
     state = rng.bit_generator.state  # fresh: zero counter, empty buffer
     key = state["state"]["key"]
     for j, row in enumerate(out):
-        key[1] = (first + j) % (1 << 64)
+        key[1] = first + j
         rng.bit_generator.state = state
         rng.random(out=row)
     return out
@@ -82,39 +86,52 @@ def fill_stream_rows(out, seed, first):
 class Distribution:
     """Common behavior of the parametric families.
 
-    Subclasses implement ``_q(u, cu)`` (quantile evaluated stably from both
-    u and its complement) and ``_qd(u, cu)`` (quantile density, the
-    derivative Q'(u) = 1/f(Q(u))), plus cdf/density and, where available,
-    ``_closed_extremes(v)``.
+    A family is its dataclass parameters plus its math: ``_cdf(x)`` and
+    ``_pdf(x)`` on float arrays, ``_q(u, cu)`` (the quantile evaluated
+    stably from both u and its complement) and ``_qd(u, cu)`` (the quantile
+    density Q'(u) = 1/f(Q(u))), and, where one exists,
+    ``_closed_extremes(v)``.  This class owns the argument contract of the
+    public methods and the ``params_label`` built from the fields.
     """
 
     name = "?"
 
+    def cdf(self, x):
+        """Distribution function F(x); x must not be NaN."""
+        return _evaluate(self._cdf, x)
+
+    def density(self, x):
+        """Density f(x); x must not be NaN."""
+        return _evaluate(self._pdf, x)
+
     def quantile(self, u):
         """Quantile function Q(u) for u in the open interval (0, 1)."""
-        u = np.asarray(u, dtype=float)
-        if np.any((u <= 0.0) | (u >= 1.0)):
-            raise InvalidProbability("quantile argument must lie strictly in (0, 1)")
-        out = self._q(u, 1.0 - u)
-        return float(out) if out.ndim == 0 else out
+        return _evaluate(self._q, u, probability=True)
 
     def quantile_density(self, u):
         """Quantile density Q'(u) = 1 / f(Q(u)) for u in (0, 1)."""
-        u = np.asarray(u, dtype=float)
-        if np.any((u <= 0.0) | (u >= 1.0)):
-            raise InvalidProbability("quantile argument must lie strictly in (0, 1)")
-        out = self._qd(u, 1.0 - u)
-        return float(out) if out.ndim == 0 else out
+        return _evaluate(self._qd, u, probability=True)
 
     def _closed_extremes(self, v):
         return None  # no closed form; quadrature fallback
 
     def params_label(self):
         """Short deterministic ``key=value`` string for tables and CSV."""
-        raise NotImplementedError
+        return ";".join(f"{f.name}={getattr(self, f.name):g}" for f in fields(self))
 
     def __repr__(self):
         return f"{type(self).__name__}({self.params_label()})"
+
+
+def _evaluate(math_of, arg, probability=False):
+    """``math_of`` on ``arg`` as a checked float array; a float for 0-d input."""
+    a = np.asarray(arg, dtype=float)
+    if probability and not np.all((a > 0.0) & (a < 1.0)):  # NaN fails too
+        raise InvalidProbability("quantile argument must lie strictly in (0, 1)")
+    if not probability and np.any(np.isnan(a)):
+        raise InvalidArgument("cdf/density argument must not be NaN")
+    out = math_of(a, 1.0 - a) if probability else math_of(a)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True, repr=False)
@@ -128,15 +145,11 @@ class Exponential(Distribution):
         if not self.rate > 0:
             raise InvalidArgument(f"rate must be positive, got {self.rate!r}")
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(x < 0, 0.0, -np.expm1(-self.rate * np.maximum(x, 0.0)))
-        return float(out) if out.ndim == 0 else out
+    def _cdf(self, x):
+        return np.where(x < 0, 0.0, -np.expm1(-self.rate * np.maximum(x, 0.0)))
 
-    def density(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(x < 0, 0.0, self.rate * np.exp(-self.rate * np.maximum(x, 0.0)))
-        return float(out) if out.ndim == 0 else out
+    def _pdf(self, x):
+        return np.where(x < 0, 0.0, self.rate * np.exp(-self.rate * np.maximum(x, 0.0)))
 
     def _q(self, u, cu):
         return -np.log(cu) / self.rate
@@ -152,9 +165,6 @@ class Exponential(Distribution):
         # the max is a sum of independent spacings with rates v, v-1, .., 1
         harmonic = sum(1.0 / k for k in range(1, v + 1))
         return harmonic / self.rate, 1.0 / (v * self.rate)
-
-    def params_label(self):
-        return f"rate={self.rate:g}"
 
 
 @dataclass(frozen=True, repr=False)
@@ -176,17 +186,12 @@ class Pareto(Distribution):
         if not self.scale > 0:
             raise InvalidArgument(f"scale must be positive, got {self.scale!r}")
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(x < self.scale, 0.0, 1.0 - (self.scale / np.maximum(x, self.scale)) ** self.shape)
-        return float(out) if out.ndim == 0 else out
+    def _cdf(self, x):
+        return np.where(x < self.scale, 0.0, 1.0 - (self.scale / np.maximum(x, self.scale)) ** self.shape)
 
-    def density(self, x):
-        x = np.asarray(x, dtype=float)
-        inside = x >= self.scale
+    def _pdf(self, x):
         safe = np.maximum(x, self.scale)
-        out = np.where(inside, self.shape * self.scale**self.shape / safe ** (self.shape + 1.0), 0.0)
-        return float(out) if out.ndim == 0 else out
+        return np.where(x >= self.scale, self.shape * self.scale**self.shape / safe ** (self.shape + 1.0), 0.0)
 
     def _q(self, u, cu):
         return self.scale * cu ** (-1.0 / self.shape)
@@ -213,9 +218,6 @@ class Pareto(Distribution):
         for k in range(1, v + 1):
             e_max += math.comb(v, k) * (-1.0) ** (k + 1) * xm * k * a / (k * a - 1.0)
         return e_max, e_min
-
-    def params_label(self):
-        return f"shape={self.shape:g};scale={self.scale:g}"
 
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -340,21 +342,19 @@ class Lognormal(Distribution):
         if not self.sdlog > 0:
             raise InvalidArgument(f"sdlog must be positive, got {self.sdlog!r}")
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
+    def _standardized_log(self, x):
+        """``(inside, safe, z)``: the support mask, x with 1 off it, and z."""
         inside = x > 0
         safe = np.where(inside, x, 1.0)
-        z = (np.log(safe) - self.meanlog) / self.sdlog
-        out = np.where(inside, np.vectorize(_ndtr, otypes=[float])(z), 0.0)
-        return float(out) if out.ndim == 0 else out
+        return inside, safe, (np.log(safe) - self.meanlog) / self.sdlog
 
-    def density(self, x):
-        x = np.asarray(x, dtype=float)
-        inside = x > 0
-        safe = np.where(inside, x, 1.0)
-        z = (np.log(safe) - self.meanlog) / self.sdlog
-        out = np.where(inside, np.exp(-0.5 * z * z) / (safe * self.sdlog * _SQRT_2PI), 0.0)
-        return float(out) if out.ndim == 0 else out
+    def _cdf(self, x):
+        inside, _, z = self._standardized_log(x)
+        return np.where(inside, np.vectorize(_ndtr, otypes=[float])(z), 0.0)
+
+    def _pdf(self, x):
+        inside, safe, z = self._standardized_log(x)
+        return np.where(inside, np.exp(-0.5 * z * z) / (safe * self.sdlog * _SQRT_2PI), 0.0)
 
     def _z(self, u, cu):
         # standard normal quantile from whichever tail is accurate, its sign
@@ -383,9 +383,6 @@ class Lognormal(Distribution):
             p = _ndtr(self.sdlog / math.sqrt(2.0))
             return 2.0 * mu * p, 2.0 * mu * (1.0 - p)
         return None
-
-    def params_label(self):
-        return f"meanlog={self.meanlog:g};sdlog={self.sdlog:g}"
 
 
 FAMILIES = {
@@ -420,18 +417,15 @@ def draw_sample(dist, n, stream):
 def _extremes_by_quadrature(dist, v):
     """Quantile-domain quadrature for (E max_v, E min_v) to 1e-8 relative."""
 
-    def evaluate(levels):
-        e_max = quadrature.integrate_graded(
-            lambda u, cu: dist._q(u, cu) * u ** (v - 1), levels
-        )
-        e_min = quadrature.integrate_graded(
-            lambda u, cu: dist._q(u, cu) * cu ** (v - 1), levels
-        )
-        return e_max, e_min
+    def integrands(u, cu):
+        q = dist._q(u, cu)  # once per rung, shared by both integrals
+        return np.stack((q * u ** (v - 1), q * cu ** (v - 1)))
 
     # ladder the two integrals together: refine until both are stable
-    e_max, e_min = quadrature.converge(evaluate, rtol=1e-8)
-    return v * e_max, v * e_min
+    e_max, e_min = quadrature.converge(
+        lambda levels: quadrature.integrate_graded(integrands, levels), rtol=1e-8
+    )
+    return v * float(e_max), v * float(e_min)
 
 
 def theoretical_extremes(dist, v, force_quadrature=False):

@@ -116,14 +116,20 @@ def integrate_graded(f, levels):
     """Integrate ``f(u, cu)`` over (0, 1) on the graded mesh.
 
     ``f`` is called once, on the whole ``(P, GL_ORDER)`` node arrays; the
-    per-panel sums are added left to right in panel order.
+    per-panel sums are added left to right in panel order.  An ``f`` that
+    returns a ``(k, P, GL_ORDER)`` stack of k integrands gets a length-k
+    array, each entry bit for bit its own single integral; otherwise a float.
     """
     m = mesh(levels)
-    return float(np.cumsum(np.sum(m.w * f(m.u, m.cu), axis=1))[-1])
+    total = np.cumsum(np.sum(m.w * f(m.u, m.cu), axis=-1), axis=-1)[..., -1]
+    return float(total) if total.ndim == 0 else total
 
 
-def converge(evaluate, rtol, start_levels=6):
+def converge(evaluate, rtol):
     """Run an evaluation ladder, doubling the grading depth until stable.
+
+    The first rung runs at depth 6; the ladder ends once the depth stops
+    growing at the cap MAX_LEVELS (6, 12, ..., 768, then 900: nine rungs).
 
     Parameters
     ----------
@@ -137,9 +143,6 @@ def converge(evaluate, rtol, start_levels=6):
         Stop once two successive ladder values agree to this relative
         tolerance: the largest absolute change is at most ``rtol`` times
         the largest absolute value.
-    start_levels : int
-        Grading depth of the first rung; the ladder ends once the depth
-        stops growing at the cap MAX_LEVELS (within 11 rungs).
 
     Returns
     -------
@@ -156,7 +159,7 @@ def converge(evaluate, rtol, start_levels=6):
         stops changing, and comparing a mesh to itself would declare
         convergence for any integrand, however hostile.
     """
-    levels = start_levels
+    levels = 6
     values = []
     reason = f"no convergence to rtol={rtol:g}"
     while True:

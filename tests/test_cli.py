@@ -73,6 +73,28 @@ def test_describe_warns_about_skipped_cells(tmp_path, capsys):
     assert "skipped 1 blank" in capsys.readouterr().err
 
 
+def _describe_mean(argv, capsys):
+    assert main(["describe", *argv, "--format", "csv"]) == 0
+    header, row = capsys.readouterr().out.strip().split("\n")
+    return dict(zip(header.split(","), row.split(",")))["mean"]
+
+
+def test_column_header_name_wins_over_a_number(tmp_path, capsys):
+    path = tmp_path / "numeric_header.csv"
+    path.write_text("x,2\n10,1\n20,2\n30,3\n")
+    # "2" names the second column here, not a third one by index
+    assert _describe_mean(["--input", str(path), "--column", "2"], capsys) == "2.00"
+
+
+def test_column_number_without_such_a_name_is_an_index(tmp_path, capsys):
+    path = tmp_path / "two.csv"
+    path.write_text("x,income\n10,1\n20,2\n30,3\n")
+    assert _describe_mean(["--input", str(path), "--column", "1"], capsys) == "2.00"
+    headerless = tmp_path / "headerless.csv"
+    headerless.write_text("10,1\n20,2\n30,3\n")
+    assert _describe_mean(["--input", str(headerless), "--no-header", "--column", "0"], capsys) == "20.00"
+
+
 # ---------------------------------------------------------------------------
 # report
 

@@ -111,13 +111,39 @@ def test_quantile_density_is_reciprocal_slope(dist):
     assert_allclose(qd, 1.0 / dist.density(dist.quantile(u)), rtol=1e-9)
 
 
-@pytest.mark.parametrize("u", [0.0, 1.0, -0.1, 1.1])
+@pytest.mark.parametrize("u", [0.0, 1.0, -0.1, 1.1, float("nan"), [0.25, float("nan"), 0.75]])
 def test_quantile_rejects_boundary(u):
     for dist in (Exponential(1.0), Pareto(3.0, 1.0), Lognormal(0.0, 1.0)):
         with pytest.raises(InvalidProbability):
             dist.quantile(u)
         with pytest.raises(InvalidProbability):
             dist.quantile_density(u)
+
+
+@pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.params_label())
+@pytest.mark.parametrize("x", [float("nan"), [1.0, float("nan"), 2.0]], ids=["scalar", "array"])
+def test_cdf_and_density_reject_nan(dist, x):
+    with pytest.raises(InvalidArgument, match="must not be NaN"):
+        dist.cdf(x)
+    with pytest.raises(InvalidArgument, match="must not be NaN"):
+        dist.density(x)
+
+
+@pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.params_label())
+def test_methods_return_a_float_for_a_scalar_and_an_array_otherwise(dist):
+    for method, arg in ((dist.cdf, 2.0), (dist.density, 2.0), (dist.quantile, 0.5), (dist.quantile_density, 0.5)):
+        assert type(method(arg)) is float
+        assert type(method(np.float64(arg))) is float
+        out = method([arg, arg])
+        assert isinstance(out, np.ndarray) and out.shape == (2,)
+        assert out[0] == method(arg)
+
+
+def test_params_label_bytes():
+    assert Exponential(0.25).params_label() == "rate=0.25"
+    assert Pareto(1.7, 2.0).params_label() == "shape=1.7;scale=2"
+    assert Lognormal(1.0, 0.5).params_label() == "meanlog=1;sdlog=0.5"
+    assert repr(Pareto(3.0, 1e-7)) == "Pareto(shape=3;scale=1e-07)"
 
 
 def test_parameter_validation():
@@ -187,6 +213,15 @@ def test_fill_stream_rows_matches_fresh_generators(seed, first, n):
     for j in range(5):
         fresh = SeededStream(seed, first + j).generator().random(n)
         assert np.array_equal(out[j], fresh)
+
+
+def test_fill_stream_rows_rejects_a_last_id_past_64_bits():
+    # the second row would be stream 2**64, which must not wrap to stream 0
+    with pytest.raises(InvalidArgument, match=r"^last stream_id must be an integer in \[0, 18446744073709551616\), got 18446744073709551616"):
+        fill_stream_rows(np.empty((2, 3)), 1, 2**64 - 1)
+    out = fill_stream_rows(np.empty((2, 3)), 1, 2**64 - 2)
+    assert np.array_equal(out[1], SeededStream(1, 2**64 - 1).generator().random(3))
+    assert fill_stream_rows(np.empty((0, 3)), 1, 2**64 - 1).shape == (0, 3)
 
 
 @pytest.mark.parametrize("bad", [-1, 2**64, 2.5, True])

@@ -125,6 +125,27 @@ def test_integrate_graded_bit_identical_to_panel_loop(dist, v):
             assert integrate_graded(f, levels) == _integrate_graded_loop(f, levels)
 
 
+@pytest.mark.parametrize(
+    "dist",
+    [Exponential(1.0), Pareto(3.0, 1.0), Pareto(1.8, 1.0), Lognormal(0.0, 1.0)],
+    ids=repr,
+)
+@pytest.mark.parametrize("v", [1, 2, 12])
+def test_integrate_graded_stack_is_its_single_integrals(dist, v):
+    """Each component of a stacked integrand is bit for bit its own call."""
+    integrands = (
+        lambda u, cu: dist._q(u, cu) * u ** (v - 1),
+        lambda u, cu: dist._q(u, cu) * cu ** (v - 1),
+        lambda u, cu: np.exp(u),
+    )
+    for levels in DEPTHS:
+        stacked = integrate_graded(lambda u, cu: np.stack([f(u, cu) for f in integrands]), levels)
+        assert stacked.shape == (len(integrands),)
+        singles = [integrate_graded(f, levels) for f in integrands]
+        assert all(isinstance(single, float) for single in singles)
+        assert stacked.tolist() == singles
+
+
 def test_integrate_graded_polynomial():
     val = integrate_graded(lambda u, cu: u * u, 6)
     assert_allclose(val, 1 / 3, rtol=1e-13)
@@ -161,7 +182,7 @@ def test_converge_depth_cap_is_honest():
         return float(min(levels, MAX_LEVELS))  # keeps moving until the cap
 
     with pytest.raises(QuadratureNoConvergence):
-        converge(evaluate, rtol=1e-12, start_levels=MAX_LEVELS // 2)
+        converge(evaluate, rtol=1e-12)
     assert len(calls) >= 2
 
 
@@ -197,5 +218,6 @@ def test_converge_raises_on_non_finite_rung():
 
 
 def test_converge_message_names_depth_and_last_values():
-    with pytest.raises(QuadratureNoConvergence, match=r"grading depth 900; last two values: \[450.0, 900.0\]"):
-        converge(lambda levels: float(min(levels, MAX_LEVELS)), rtol=1e-12, start_levels=MAX_LEVELS // 2)
+    # the ladder runs 6, 12, ..., 768, then 1536 capped at depth 900
+    with pytest.raises(QuadratureNoConvergence, match=r"grading depth 900; last two values: \[768.0, 900.0\]"):
+        converge(lambda levels: float(min(levels, MAX_LEVELS)), rtol=1e-12)
