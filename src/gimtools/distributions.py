@@ -191,7 +191,8 @@ class Pareto(Distribution):
 
     def _pdf(self, x):
         safe = np.maximum(x, self.scale)
-        return np.where(x >= self.scale, self.shape * self.scale**self.shape / safe ** (self.shape + 1.0), 0.0)
+        # (scale / x) ** shape <= 1, where scale ** shape alone can overflow
+        return np.where(x >= self.scale, self.shape / safe * (self.scale / safe) ** self.shape, 0.0)
 
     def _q(self, u, cu):
         return self.scale * cu ** (-1.0 / self.shape)

@@ -7,6 +7,7 @@ intervals, and export histogram/density curves for plotting.
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -37,15 +38,17 @@ _BLOCK = 1 << 16
 def ingest_csv(path, column=0, delimiter=",", has_header=True):
     """Extract one income column from a CSV file.
 
-    Two readers share one contract.  A numpy fast path parses the body in
-    blocks of 64 KiB with ``np.loadtxt``.  A ``csv.reader`` loop reads
-    the whole file again whenever a block holds anything the fast path does
-    not vouch for: quotes, carriage returns, blank lines, blank cells other
-    than a last-column income cell, whitespace-only cells, text, NaN,
-    infinities, negatives, short rows or over-long fields.  Both give the
-    same sample, bit for bit, the same skipped count and the same errors;
-    only the ``csv.reader`` loop raises, so every error carries its line
-    number.
+    The file is decoded once, as UTF-8: a leading byte-order mark is dropped,
+    and an undecodable byte reads as a lone surrogate, which passes in another
+    column and is a :class:`ParseError` in the income column.  ``np.loadtxt``
+    parses the body in blocks of 64 KiB.  From the first block holding
+    anything the block reader does not vouch for (quotes, a lone carriage
+    return, blank or whitespace cells other than a last-column income cell,
+    text, NaN, infinities, negatives, short rows, over-long fields) a
+    ``csv.reader`` loop reads on to the end of the file, after the values
+    already parsed.  Both readers give the same values, skipped count and
+    errors; only the ``csv.reader`` loop raises, so every error carries its
+    line number.
 
     Parameters
     ----------
@@ -61,16 +64,16 @@ def ingest_csv(path, column=0, delimiter=",", has_header=True):
     Returns
     -------
     IngestResult
-        ``(sample, skipped)`` — blank cells are skipped and counted, so a
-        caller can warn without failing on sparse survey extracts.
+        ``(sample, skipped)`` — blank lines and cells are skipped and counted,
+        so a caller can warn without failing on sparse survey extracts.
 
     Raises
     ------
     FileNotFoundError
         If the file does not exist.
     ParseError
-        If a cell is not numeric, or the requested column is missing
-        (the error carries the 1-based line number where applicable).
+        If a cell is not numeric or over-long, or the requested column is
+        missing (the error carries the 1-based line number where applicable).
     NegativeIncome
         If a cell parses to a negative number (with its line number).
     NonFinite
@@ -78,19 +81,29 @@ def ingest_csv(path, column=0, delimiter=",", has_header=True):
     EmptyColumn
         If no usable values remain.
     """
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as handle:
         reader = csv.reader(handle, delimiter=delimiter)
-        index, _ = _column_index(reader, path, column, has_header)
-        try:
-            parsed = _read_blocks(handle, delimiter, index)
-        except UnicodeDecodeError:  # the row reader may meet a bad cell first
-            parsed = None
-    if parsed is None:
-        parsed = _read_rows(path, column, delimiter, has_header)
-    values, skipped = parsed
-    if not len(values):
+        index, line = _column_index(reader, path, column, has_header)
+        values, count, skipped = np.empty(0), 0, 0
+        while text := handle.read(_BLOCK) + handle.readline():
+            parsed = _parse_block(text, delimiter, index)
+            if parsed is None:  # csv.reader reads this block and the rest of the file
+                rows = itertools.chain(io.StringIO(text, newline=""), handle)
+                rest, blanks = _read_rows(csv.reader(rows, delimiter=delimiter), index, line)
+                parsed = np.array(rest, dtype=float), blanks, 0
+            block, blanks, lines = parsed
+            # one array grown by doubling: arrays kept per block pin heap memory
+            if count + block.size > values.size:
+                grown = np.empty(max(2 * values.size, count + block.size))
+                grown[:count] = values[:count]
+                values = grown
+            values[count : count + block.size] = block
+            count += block.size
+            skipped += blanks
+            line += lines
+    if not count:
         raise EmptyColumn(f"{path}: no usable values in column {column!r}")
-    return IngestResult(sample=make_sample(values), skipped=skipped)
+    return IngestResult(sample=make_sample(values[:count]), skipped=skipped)
 
 
 def _column_index(reader, path, column, has_header):
@@ -104,6 +117,8 @@ def _column_index(reader, path, column, has_header):
             header = [cell.strip() for cell in next(reader)]
         except StopIteration:
             raise EmptyColumn(f"{path}: file is empty") from None
+        except csv.Error as exc:
+            raise ParseError(str(exc), line=line) from None
         if column in header:
             return header.index(column), line
     try:
@@ -117,78 +132,61 @@ def _column_index(reader, path, column, has_header):
     return check_integer(index, "column index", ParseError, 0), line
 
 
-def _read_blocks(handle, delimiter, index):
-    """``(values, skipped)`` of the body parsed by ``np.loadtxt``, or None.
+def _parse_block(text, delimiter, index):
+    """``(values, skipped, lines)`` of one block parsed by ``np.loadtxt``, or None.
 
-    A blank income cell in the last column, ``delimiter + "\\n"``, is read
-    as the sentinel -1 and counted.  A block is accepted only where
-    ``csv.reader`` reads the same cells: it has no quote and no carriage
-    return, no blank line (``loadtxt`` skips those silently), no line past
-    the csv field size limit, one parsed row per line, and no negative or
-    non-finite value but the sentinels.  None sends the caller to
-    :func:`_read_rows`.
+    ``\\r\\n`` line ends read as ``\\n``.  Blank lines are counted as
+    skipped, and so is a blank income cell in the last column,
+    ``delimiter + "\\n"``, read as the sentinel -1.  The block is accepted
+    only where ``csv.reader`` reads the same cells: it has no quote and no
+    other carriage return, no line past the csv field size limit, one parsed
+    row per non-blank line, and no negative or non-finite value but the
+    sentinels.  None hands the block to :func:`_read_rows`.
     """
-    if delimiter in "\r\n":
+    if "\r" in text:  # replace copies the whole block even where it finds no \r\n
+        text = text.replace("\r\n", "\n")
+    if delimiter in "\r\n" or '"' in text or "\r" in text:
         return None
-    blank, sentinel = delimiter + "\n", delimiter + "-1\n"
-    limit = csv.field_size_limit()
-    column, count, skipped = np.empty(0), 0, 0
-    while block := handle.read(_BLOCK) + handle.readline():
-        if '"' in block or "\r" in block:
+    if not text.endswith("\n"):
+        text += "\n"
+    # line lengths plus one, in UTF-8 bytes (at least the character count);
+    # 1 is a blank line
+    ends = np.flatnonzero(np.frombuffer(text.encode(errors="surrogateescape"), np.uint8) == 10)
+    spans = np.diff(ends, prepend=-1)
+    if spans.max() > csv.field_size_limit() + 1:
+        return None
+    empty = int(np.count_nonzero(spans == 1))
+    rows = spans.size - empty
+    if not rows:  # loadtxt warns on a block with no cells
+        return np.empty(0), empty, spans.size
+    pieces = text.split(delimiter + "\n")
+    blanks = len(pieces) - 1
+    if blanks:
+        text = (delimiter + "-1\n").join(pieces)
+        # loadtxt needs `index` delimiters on every row; this many in all
+        # leaves no more, so each sentinel lands in the income column
+        if text.count(delimiter) != rows * index:
             return None
-        if not block.endswith("\n"):
-            block += "\n"
-        # line lengths plus one, in UTF-8 bytes (at least the character
-        # count); 1 is a blank line
-        ends = np.flatnonzero(np.frombuffer(block.encode(), np.uint8) == 10)
-        spans = np.diff(ends, prepend=-1)
-        if spans.min() == 1 or spans.max() > limit + 1:
-            return None
-        pieces = block.split(blank)
-        blanks = len(pieces) - 1
-        if blanks:
-            block = sentinel.join(pieces)
-            # loadtxt needs `index` delimiters on every line; this many in
-            # all leaves no more, so each sentinel lands in the income column
-            if block.count(delimiter) != spans.size * index:
-                return None
-        try:
-            values = np.loadtxt(
-                io.StringIO(block),
-                delimiter=delimiter,
-                usecols=index,
-                comments=None,
-                ndmin=1,
-                dtype=float,
-            )
-        except (ValueError, OverflowError):  # a bad cell, or an index past C's
-            return None
-        negative = values < 0
-        if values.size != spans.size or np.count_nonzero(negative) != blanks:
-            return None
-        values = values[~negative]
-        if not np.all(np.isfinite(values)):
-            return None
-        # one array for the column, grown by doubling: an array kept per
-        # block pins heap memory much as 1 MiB blocks do
-        if count + values.size > column.size:
-            grown = np.empty(max(2 * column.size, count + values.size))
-            grown[:count] = column[:count]
-            column = grown
-        column[count : count + values.size] = values
-        count += values.size
-        skipped += blanks
-    return column[:count], skipped
+    try:
+        values = np.loadtxt(io.StringIO(text), delimiter=delimiter, usecols=index,
+                            comments=None, ndmin=1, dtype=float)
+    except (ValueError, OverflowError):  # a bad cell, or an index past C's
+        return None
+    negative = values < 0
+    if values.size != rows or np.count_nonzero(negative) != blanks:
+        return None
+    values = values[~negative]
+    if not np.all(np.isfinite(values)):
+        return None
+    return values, blanks + empty, spans.size
 
 
-def _read_rows(path, column, delimiter, has_header):
-    """``(values, skipped)`` read row by row by ``csv.reader``, or a typed error."""
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
-        index, line = _column_index(reader, path, column, has_header)
-        values = []
-        skipped = 0
-        for row in reader:
+def _read_rows(rows, index, line):
+    """``(values, skipped)`` of a ``csv.reader`` whose first row is line
+    ``line + 1``, read row by row, or a typed error."""
+    values, skipped = [], 0
+    try:
+        for row in rows:
             line += 1
             if not row:  # entirely blank line
                 skipped += 1
@@ -208,6 +206,8 @@ def _read_rows(path, column, delimiter, has_header):
                     raise NegativeIncome(f"line {line}: negative income {value!r}")
                 raise NonFinite(f"line {line}: non-finite income {value!r}")
             values.append(value)
+    except csv.Error as exc:  # a field past the csv size limit, on the next row
+        raise ParseError(str(exc), line=line + 1) from None
     return values, skipped
 
 

@@ -244,6 +244,26 @@ def test_negative_income_exits_one(tmp_path, capsys):
     assert "negative" in capsys.readouterr().err
 
 
+def test_describe_reads_a_byte_order_mark_and_latin1_names(tmp_path, capsys):
+    path = tmp_path / "excel.csv"
+    path.write_bytes(b"\xef\xbb\xbfname,income\r\nJos\xe9,10\r\nAna,30\r\n")
+    assert _describe_mean(["--input", str(path), "--column", "income"], capsys) == "20.00"
+
+
+@pytest.mark.parametrize(
+    "body",
+    [b"Ana,6\xe9\n", b"Ana," + b"9" * 200_000 + b"\n"],
+    ids=["undecodable", "over-long"],
+)
+def test_bad_income_cell_fails_in_one_line(tmp_path, capsys, body):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"name,income\nJose,5\n" + body)
+    assert main(["describe", "--input", str(path), "--column", "income"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("gim describe: error: line 3: ")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [

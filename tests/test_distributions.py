@@ -52,6 +52,13 @@ def test_pareto_point_values():
     assert_allclose(d.mean(), 1.5, rtol=1e-14)
 
 
+@pytest.mark.parametrize("shape, scale, x", [(400.0, 10.0, 20.0), (2.0, 1e200, 1e201), (3.0, 1.0, 2.0)])
+def test_pareto_density_where_scale_power_leaves_the_float_range(shape, scale, x):
+    # scale ** shape is 1e400 in both of the first two cases
+    want = math.exp(math.log(shape / x) + shape * math.log(scale / x))
+    assert_allclose(Pareto(shape, scale).density(x), want, rtol=1e-12)
+
+
 def test_lognormal_point_values():
     d = Lognormal(0.0, 1.0)
     assert_allclose(d.cdf(1.0), 0.5, rtol=1e-14)

@@ -1,6 +1,8 @@
 """CSV ingestion, descriptive statistics, report rows, density output."""
 
 import csv
+import io
+import itertools
 import math
 import warnings
 from unittest import mock
@@ -30,10 +32,6 @@ from gimtools import (
 )
 from gimtools import reporting
 from gimtools.reporting import silverman_bandwidth
-
-# np.loadtxt warns on a body with no cells; the block reader must not call it
-# on one
-pytestmark = pytest.mark.filterwarnings("error::UserWarning")
 
 
 # ---------------------------------------------------------------------------
@@ -131,10 +129,18 @@ def test_ingest_missing_file(tmp_path):
         ingest_csv(tmp_path / "nope.csv", column=0)
 
 
+def read_all_rows(path, column, delimiter, has_header):
+    """``(values, skipped)`` of the csv.reader loop over the whole body."""
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as handle:
+        rows = csv.reader(handle, delimiter=delimiter)
+        index, line = reporting._column_index(rows, path, column, has_header)
+        return reporting._read_rows(rows, index, line)
+
+
 def reference_ingest(path, column, delimiter, has_header):
     """What ``ingest_csv`` gave before the block reader: the csv.reader loop
     and a stable sort."""
-    values, skipped = reporting._read_rows(path, column, delimiter, has_header)
+    values, skipped = read_all_rows(path, column, delimiter, has_header)
     if not values:
         raise EmptyColumn(f"{path}: no usable values in column {column!r}")
     return np.sort(np.array(values), kind="stable"), skipped
@@ -216,32 +222,82 @@ def csv_files(draw):
 @example(("a,income\n1,\n2,\n", 1, ",", True), 1)
 @example(('"x,5,y",7\n', 1, ",", False), 1 << 16)
 @example(("\r\n0.0", 0, ",", False), 1)
+@example(("id,income\r\n1,5\r\n\r\n2,\r\n\r\n3,7.5\r\n", "income", ",", True), 5)
+@example(("id,income\r\n1,5\r\n\n2,6\r3,7\n", 1, ",", True), 1 << 16)
+@example(("id,income\r\n1,5\r\r\n2,6\r\n", 1, ",", True), 1 << 16)
+@example(("a,income,b\n1,5,2\n3,,4\n5,6,7\n", "income", ",", True), 1 << 16)
+@example(("name,income\nJos\udce9,5\n\udcff,6\n", "income", ",", True), 1 << 16)
+@example(("name,income\nJose,5\nAna,6\udcff\n", "income", ",", True), 1 << 16)
 def test_ingest_fast_path_matches_csv_reader(tmp_path_factory, case, block):
-    """The block reader gives the csv.reader loop's values in file order, and
-    ``ingest_csv`` its sample, skipped count and error, at any block size."""
+    """Each block the block reader accepts holds the csv.reader loop's values
+    for its text, and ``ingest_csv`` gives that loop's sample, skipped count
+    and error over the whole body, at any block size."""
     text, column, delimiter, has_header = case
     path = tmp_path_factory.mktemp("ingest") / "incomes.csv"
-    path.write_bytes(text.encode())
+    path.write_bytes(text.encode(errors="surrogateescape"))
     with mock.patch.object(reporting, "_BLOCK", block):
         assert_same_ingest(path, column, delimiter, has_header)
-        with open(path, newline="") as handle:
-            reader = csv.reader(handle, delimiter=delimiter)
-            index, _ = reporting._column_index(reader, path, column, has_header)
-            fast = reporting._read_blocks(handle, delimiter, index)
-    if fast is not None:
-        # accepted blocks hold csv.reader's cells, value for value
-        values, skipped = reporting._read_rows(path, column, delimiter, has_header)
-        assert fast[0].tobytes() == np.array(values, dtype=float).tobytes()
-        assert fast[1] == skipped
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as handle:
+        try:
+            index, _ = reporting._column_index(csv.reader(handle, delimiter=delimiter), path, column, has_header)
+        except (ParseError, EmptyColumn):
+            return
+        while chunk := handle.read(block) + handle.readline():
+            fast = reporting._parse_block(chunk, delimiter, index)
+            if fast is None:
+                continue
+            # an accepted block holds csv.reader's cells, value for value
+            rows = list(csv.reader(io.StringIO(chunk, newline=""), delimiter=delimiter))
+            values, skipped = reporting._read_rows(iter(rows), index, 0)
+            assert fast[0].tobytes() == np.array(values, dtype=float).tobytes()
+            assert fast[1] == skipped
+            assert fast[2] == len(rows)
 
 
 def test_ingest_fast_path_reads_clean_files(tmp_path):
-    """Blank income cells in the last column stay on the fast path."""
-    path = write(tmp_path, "id,income\n1,10\n2,\n3,-0\n4,0\n5,2.5\n6,\n")
-    with mock.patch.object(reporting, "_read_rows", side_effect=AssertionError):
+    """Blank income cells in the last column, blank lines and ``\\r\\n`` line
+    ends stay on the block reader."""
+    want = np.array([-0.0, 0.0, 2.5, 10.0]).tobytes()
+    for newline in ("\n", "\r\n"):
+        lines = ["id,income", "1,10", "2,", "", "3,-0", "4,0", "", "5,2.5", "6,", ""]
+        path = tmp_path / "incomes.csv"
+        path.write_bytes(newline.join(lines).encode())
+        with mock.patch.object(reporting, "_read_rows", side_effect=AssertionError):
+            result = ingest_csv(path, column="income")
+        assert result.skipped == 4
+        assert result.sample.values.tobytes() == want
+
+
+def test_ingest_hands_over_at_the_rejected_block(tmp_path):
+    """A quote in the third block sends that block and the rest, and nothing
+    before them, to the row reader, which counts lines from there."""
+    body = [f"{i},{i % 9973}.25\n" for i in range(30_000)]  # about 400 KB: seven blocks
+    quoted = 11_000  # about 2.1 blocks in
+    body[quoted] = f'"{quoted}",{quoted}.5\n'
+    path = write(tmp_path, "id,income\n" + "".join(body))
+    assert path.stat().st_size > 4 * reporting._BLOCK
+    texts, starts = [], []
+    parse_block, read_rows = reporting._parse_block, reporting._read_rows
+
+    def spy_parse(text, delimiter, index):
+        texts.append(text)
+        return parse_block(text, delimiter, index)
+
+    def spy_rows(rows, index, line):
+        first = next(rows)
+        starts.append((first, line))
+        return read_rows(itertools.chain([first], rows), index, line)
+
+    with mock.patch.object(reporting, "_parse_block", spy_parse), \
+            mock.patch.object(reporting, "_read_rows", spy_rows):
         result = ingest_csv(path, column="income")
-    assert result.skipped == 2
-    assert result.sample.values.tobytes() == np.array([-0.0, 0.0, 2.5, 10.0]).tobytes()
+    assert len(texts) == 3 and '"' in texts[2]
+    line = 1 + texts[0].count("\n") + texts[1].count("\n")
+    first = next(csv.reader(io.StringIO(texts[2])))
+    assert starts == [(first, line)]
+    want = reference_ingest(path, "income", ",", True)
+    assert result.sample.values.tobytes() == want[0].tobytes()
+    assert result.skipped == want[1] == 0
 
 
 @pytest.mark.parametrize("delimiter", [",", "\n", "\r", '"', "-", "1", "."])
@@ -262,13 +318,36 @@ def test_ingest_bad_cell_before_undecodable_bytes_reports_line(tmp_path):
 
 
 def test_ingest_keeps_the_csv_field_size_limit(tmp_path):
-    path = write(tmp_path, "id,income\n1,12345\n2,123456789\n")
     limit = csv.field_size_limit(8)
     try:
-        with pytest.raises(csv.Error, match="field larger than field limit"):
-            ingest_csv(path, column="income")
+        for text, line in [("id,income\n1,12345\n2,123456789\n", 3), ("id,income_in_cents\n1,5\n", 1)]:
+            with pytest.raises(ParseError, match="field larger than field limit") as info:
+                ingest_csv(write(tmp_path, text), column="income")
+            assert info.value.line == line
     finally:
         csv.field_size_limit(limit)
+
+
+@pytest.mark.parametrize("has_header", [True, False])
+def test_ingest_reads_past_a_byte_order_mark(tmp_path, has_header):
+    """Excel's "CSV UTF-8" export starts with a byte-order mark."""
+    path = tmp_path / "incomes.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + (b"income,id\n" if has_header else b"") + b"10,1\n20,2\n")
+    column = "income" if has_header else 0
+    result = ingest_csv(path, column=column, has_header=has_header)
+    assert list(result.sample.values) == [10.0, 20.0]
+
+
+def test_ingest_undecodable_bytes(tmp_path):
+    """A Latin-1 byte passes in another column and is a ParseError with its
+    line in the income column."""
+    path = tmp_path / "incomes.csv"
+    path.write_bytes(b"name,income\nJos\xe9,5\nAna,6\n")
+    assert list(ingest_csv(path, column="income").sample.values) == [5.0, 6.0]
+    path.write_bytes(b"name,income\nJose,5\nAna,6\xe9\n")
+    with pytest.raises(ParseError, match="not a number") as info:
+        ingest_csv(path, column="income")
+    assert info.value.line == 3
 
 
 def test_ingest_bad_cell_past_the_first_block_reports_line(tmp_path):
