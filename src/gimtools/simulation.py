@@ -115,22 +115,25 @@ def default_grid(distributions, replications=10_000, base_seed=1,
     """Standard study grid: every (family, v, n) combination.
 
     Cells receive consecutive base seeds (grid seed + cell index) so no two
-    cells share replication streams.
+    cells share replication streams; the last one must fit 64 bits too.
     """
-    cells = []
-    for dist in distributions:
-        for v in orders:
-            for n in sizes:
-                cells.append(
-                    SimCell(
-                        dist=dist,
-                        n=n,
-                        v=v,
-                        replications=replications,
-                        base_seed=base_seed + len(cells),
-                    )
-                )
-    return cells
+    keys = [(dist, v, n) for dist in distributions for v in orders for n in sizes]
+    base_seed = _check_grid_seed(base_seed, len(keys))
+    return [
+        SimCell(dist=dist, n=n, v=v, replications=replications, base_seed=base_seed + i)
+        for i, (dist, v, n) in enumerate(keys)
+    ]
+
+
+def _check_grid_seed(seed, cells):
+    """``seed`` as an int, if the ``cells`` consecutive seeds from it are all
+    64-bit stream keys, else :class:`InvalidArgument` naming the grid seed."""
+    try:
+        return check_integer(seed, "seed", InvalidArgument, 0, (1 << 64) - max(cells - 1, 0))
+    except InvalidArgument as exc:
+        raise InvalidArgument(
+            f"{exc}; the {cells} cells take consecutive seeds from seed up to seed + {cells - 1}"
+        ) from None
 
 
 def _parse_numbers(text, cast):
@@ -183,7 +186,7 @@ def load_grid_config(path):
         except ValueError as exc:
             raise ParseError(f"bad [run] value in {path!r}: {exc}") from exc
 
-    cells = []
+    sections = []
     for section in parser.sections():
         if section == "run":
             continue
@@ -203,9 +206,15 @@ def load_grid_config(path):
             orders = _parse_numbers(orders_text, int) if orders_text else DEFAULT_ORDERS
         except (TypeError, ValueError) as exc:
             raise ParseError(f"bad section [{section}] in {path!r}: {exc}") from exc
-        cells += default_grid([dist], replications, base_seed + len(cells), sizes, orders)
-    if not cells:
+        sections.append((dist, sizes, orders))
+    count = sum(len(sizes) * len(orders) for _, sizes, orders in sections)
+    if not count:
         raise ParseError(f"no family sections found in {path!r}")
+    # checked against the whole grid before any section takes its seeds
+    _check_grid_seed(base_seed, count)
+    cells = []
+    for dist, sizes, orders in sections:
+        cells += default_grid([dist], replications, base_seed + len(cells), sizes, orders)
     return cells
 
 

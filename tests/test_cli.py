@@ -264,6 +264,20 @@ def test_bad_income_cell_fails_in_one_line(tmp_path, capsys, body):
     assert captured.err.count("\n") == 1
 
 
+def test_bad_cell_after_a_multi_line_name_names_its_file_line(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text('name,income\n"Ana\nMaria",5\nBo,abc\n')
+    assert main(["describe", "--input", str(path), "--column", "income"]) == 1
+    assert capsys.readouterr().err == "gim describe: error: line 4: not a number: 'abc'\n"
+
+
+def test_simulate_seed_without_room_for_every_cell_fails_in_one_line(capsys):
+    assert main(["simulate", "--reps", "3", "--seed", str(2**64 - 1)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("gim simulate: error: seed must be an integer in [0, 18446744073709551581), got 18446744073709551615; ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [

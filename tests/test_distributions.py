@@ -209,6 +209,10 @@ def test_draw_sample_is_deterministic():
 )
 @example(seed=2**64 - 1, first=509, n=7)
 @example(seed=0, first=510, n=1)
+# stream ids across the uint64 sign bit, and the top of the key range:
+# the re-key template holds them as Python ints, converted on assignment
+@example(seed=2**63, first=2**63 - 2, n=7)
+@example(seed=2**64 - 1, first=2**64 - 6, n=3)
 @settings(max_examples=150, deadline=None)
 def test_fill_stream_rows_matches_fresh_generators(seed, first, n):
     """Each re-keyed row is the stream a fresh generator draws, bit for bit.
@@ -220,6 +224,19 @@ def test_fill_stream_rows_matches_fresh_generators(seed, first, n):
     for j in range(5):
         fresh = SeededStream(seed, first + j).generator().random(n)
         assert np.array_equal(out[j], fresh)
+
+
+def test_fill_stream_rows_calls_share_no_state():
+    # chunks of one stream family, interleaved with another family's call,
+    # read the same as one call: each call builds its own re-key template
+    whole = fill_stream_rows(np.empty((6, 9)), 21, 100)
+    first_half = fill_stream_rows(np.empty((3, 9)), 21, 100)
+    other = fill_stream_rows(np.empty((4, 9)), 2**64 - 1, 7)
+    second_half = fill_stream_rows(np.empty((3, 9)), 21, 103)
+    assert np.array_equal(np.vstack([first_half, second_half]), whole)
+    for j in range(4):
+        assert np.array_equal(other[j], SeededStream(2**64 - 1, 7 + j).generator().random(9))
+    assert np.array_equal(whole[5], SeededStream(21, 105).generator().random(9))
 
 
 def test_fill_stream_rows_rejects_a_last_id_past_64_bits():

@@ -130,11 +130,12 @@ def test_ingest_missing_file(tmp_path):
 
 
 def read_all_rows(path, column, delimiter, has_header):
-    """``(values, skipped)`` of the csv.reader loop over the whole body."""
+    """``(values, skipped)`` of the csv.reader loop over the whole body,
+    read by a fresh reader that counts lines after the header's."""
     with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as handle:
-        rows = csv.reader(handle, delimiter=delimiter)
-        index, line = reporting._column_index(rows, path, column, has_header)
-        return reporting._read_rows(rows, index, line)
+        header = csv.reader(handle, delimiter=delimiter)
+        index, line = reporting._column_index(header, path, column, has_header)
+        return reporting._read_rows(csv.reader(handle, delimiter=delimiter), index, line)
 
 
 def reference_ingest(path, column, delimiter, has_header):
@@ -359,6 +360,38 @@ def test_ingest_bad_cell_past_the_first_block_reports_line(tmp_path):
     assert path.stat().st_size > 2 * reporting._BLOCK
     with pytest.raises(NegativeIncome, match=f"line {bad}: negative income -4.5"):
         ingest_csv(path, column="income")
+
+
+@pytest.mark.parametrize(
+    "row, error, message",
+    [
+        ("Bo,abc", ParseError, "not a number: 'abc'"),
+        ("Bo,-3", NegativeIncome, "negative income -3.0"),
+        ("Bo", ParseError, "row has only 1 columns"),
+    ],
+    ids=["text", "negative", "short"],
+)
+def test_ingest_error_after_a_multi_line_cell_names_the_file_line(tmp_path, row, error, message):
+    """Errors count file lines, not records: the quoted name takes lines 2-3."""
+    path = write(tmp_path, f'name,income\n"Ana\nMaria",5\n{row}\n')
+    with pytest.raises(error, match=message) as info:
+        ingest_csv(path, column="income")
+    assert "line 4" in str(info.value)
+
+
+def test_ingest_error_after_a_multi_line_cell_past_the_hand_over(tmp_path):
+    """A record spanning three lines in the third block: the row reader's
+    line count starts at the lines the block reader already parsed."""
+    body = [f"{i},{i % 9973}.25\n" for i in range(30_000)]  # seven blocks
+    quoted = 11_000  # about 2.1 blocks in
+    body[quoted] = f'"{quoted}\nsee\nnote",{quoted}.5\n'
+    body[quoted + 50] = f"{quoted + 50},n/a\n"
+    path = write(tmp_path, "id,income\n" + "".join(body))
+    assert path.stat().st_size > 4 * reporting._BLOCK
+    with pytest.raises(ParseError, match="not a number: 'n/a'") as info:
+        ingest_csv(path, column="income")
+    # the header, the rows before, two extra lines for the quoted record
+    assert info.value.line == 1 + (quoted + 50 + 1) + 2
 
 
 # ---------------------------------------------------------------------------

@@ -161,6 +161,34 @@ def test_default_grid_shape_and_seeds():
     assert len({c.base_seed for c in cells}) == len(cells)
 
 
+GRID_SEED_REFUSED = (
+    r"^seed must be an integer in \[0, 18446744073709551581\), got {seed}; "
+    r"the 36 cells take consecutive seeds from seed up to seed \+ 35$"
+)
+
+
+def test_default_grid_seed_leaves_room_for_every_cell():
+    """The last of 36 cells takes seed + 35, which must stay below 2**64;
+    the error names the grid seed the caller gave, not a cell's."""
+    dists = [Exponential(1.0), Pareto(3.0, 1.0), Lognormal(0.0, 0.5)]
+    cells = default_grid(dists, replications=10, base_seed=2**64 - 36)
+    assert cells[-1].base_seed == 2**64 - 1
+    for seed in (2**64 - 35, 2**64 - 1):
+        with pytest.raises(InvalidArgument, match=GRID_SEED_REFUSED.format(seed=seed)):
+            default_grid(dists, replications=10, base_seed=seed)
+
+
+def test_load_grid_config_seed_leaves_room_for_every_cell(tmp_path):
+    """The ``[run] seed`` is checked against the cells of all sections."""
+    path = tmp_path / "grid.ini"
+    sections = "[exponential]\n\n[pareto]\n\n[lognormal]\n"  # 12 default cells each
+    path.write_text(f"[run]\nseed = {2**64 - 36}\n\n{sections}")
+    assert load_grid_config(path)[-1].base_seed == 2**64 - 1
+    path.write_text(f"[run]\nseed = {2**64 - 35}\n\n{sections}")
+    with pytest.raises(InvalidArgument, match=GRID_SEED_REFUSED.format(seed=2**64 - 35)):
+        load_grid_config(path)
+
+
 # ---------------------------------------------------------------------------
 # config files
 
