@@ -98,11 +98,22 @@ class Distribution:
     ``_pdf(x)`` on float arrays, ``_q(u, cu)`` (the quantile evaluated
     stably from both u and its complement) and ``_qd(u, cu)`` (the quantile
     density Q'(u) = 1/f(Q(u))), and, where one exists,
-    ``_closed_extremes(v)``.  This class owns the argument contract of the
-    public methods and the ``params_label`` built from the fields.
+    ``_closed_extremes(v)``.  This class owns the parameter check, the
+    argument contract of the public methods and the ``params_label``.
     """
 
     name = "?"
+    _lower = {}  # field name -> (exclusive lower bound, requirement), per family
+
+    def __post_init__(self):
+        for f in fields(self):  # the bound first: a NaN fails it where one is set
+            value = getattr(self, f.name)
+            if f.name in self._lower:
+                bound, requirement = self._lower[f.name]
+                if not value > bound:
+                    raise InvalidArgument(f"{f.name} must {requirement}, got {value!r}")
+            if not math.isfinite(value):
+                raise InvalidArgument(f"{f.name} must be finite, got {value!r}")
 
     def cdf(self, x):
         """Distribution function F(x); x must not be NaN."""
@@ -148,10 +159,7 @@ class Exponential(Distribution):
 
     rate: float = 1.0
     name = "exponential"
-
-    def __post_init__(self):
-        if not self.rate > 0:
-            raise InvalidArgument(f"rate must be positive, got {self.rate!r}")
+    _lower = {"rate": (0.0, "be positive")}
 
     def _cdf(self, x):
         return np.where(x < 0, 0.0, -np.expm1(-self.rate * np.maximum(x, 0.0)))
@@ -185,14 +193,7 @@ class Pareto(Distribution):
     shape: float = 3.0
     scale: float = 1.0
     name = "pareto"
-
-    def __post_init__(self):
-        if not self.shape > 1:
-            raise InvalidArgument(
-                f"shape must exceed 1 (finite mean required), got {self.shape!r}"
-            )
-        if not self.scale > 0:
-            raise InvalidArgument(f"scale must be positive, got {self.scale!r}")
+    _lower = {"shape": (1.0, "exceed 1 (finite mean required)"), "scale": (0.0, "be positive")}
 
     def _cdf(self, x):
         return np.where(x < self.scale, 0.0, 1.0 - (self.scale / np.maximum(x, self.scale)) ** self.shape)
@@ -346,10 +347,7 @@ class Lognormal(Distribution):
     meanlog: float = 0.0
     sdlog: float = 1.0
     name = "lognormal"
-
-    def __post_init__(self):
-        if not self.sdlog > 0:
-            raise InvalidArgument(f"sdlog must be positive, got {self.sdlog!r}")
+    _lower = {"sdlog": (0.0, "be positive")}
 
     def _standardized_log(self, x):
         """``(inside, safe, z)``: the support mask, x with 1 off it, and z."""

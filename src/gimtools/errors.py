@@ -83,7 +83,7 @@ class EmptyColumn(GimError):
 
 
 class InvalidBandwidth(GimError):
-    """Raised for non-positive kernel bandwidths."""
+    """Raised for kernel bandwidths that are not positive and finite."""
 
 
 class InvalidArgument(GimError, ValueError):

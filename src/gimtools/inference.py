@@ -31,7 +31,7 @@ from statistics import NormalDist
 import numpy as np
 
 from . import quadrature
-from .errors import InvalidLevel, InvalidStdError, SampleTooSmall
+from .errors import InvalidArgument, InvalidLevel, InvalidStdError, SampleTooSmall, ZeroMean
 from .measures import _check_order, _unscale, _ustat_sums, extreme_weights, gim_ratio
 from .samples import as_sample
 
@@ -53,6 +53,13 @@ class VarianceEstimate:
     level: float = None
     ci_low: float = None
     ci_high: float = None
+
+
+def _running(a):
+    """``[0, a[0], a[0] + a[1], ..., sum(a)]``: the len(a) + 1 running sums of ``a``."""
+    out = np.zeros(len(a) + 1)
+    np.cumsum(a, out=out[1:])
+    return out
 
 
 def projection_variance(s, v):
@@ -110,8 +117,8 @@ def _scaled_projection_variance(s, v):
     up = x * forward ** (v - 2)
     down = x * backward ** (v - 2)
     # sum over j > i of up[j]; sum over j < i of down[j]
-    tail = np.concatenate((np.cumsum(up[::-1])[::-1][1:], [0.0]))
-    head = np.concatenate(([0.0], np.cumsum(down)[:-1]))
+    tail = _running(up[::-1])[::-1][1:]
+    head = _running(down)[:-1]
     g_hat = lead + (v - 1) / n * (tail - head)
     return float(np.var(g_hat, ddof=1)), scale
 
@@ -160,15 +167,18 @@ def leave_one_out(s, v, kind="ustat"):
         raise SampleTooSmall(
             f"leave-one-out of order v={v} needs at least {v + 1} observations"
         )
+    if s.values[-2] == 0.0 < s.values[-1]:
+        raise ZeroMean(
+            "GIM undefined for a leave-one-out sample: deleting the only nonzero "
+            "income leaves an all-zero sample"
+        )
     w_hi, w_lo = extreme_weights(kind, m, v)
     x, _ = s.scaled()
 
     def loo_sums(w):
         kept = w * x[:m]       # weight j applied to position j   (j < k)
         shifted = w * x[1:]    # weight j applied to position j+1 (j+1 > k)
-        prefix = np.concatenate(([0.0], np.cumsum(kept)))
-        suffix = np.concatenate((np.cumsum(shifted[::-1])[::-1], [0.0]))
-        return prefix + suffix
+        return _running(kept) + _running(shifted[::-1])[::-1]
 
     return gim_ratio(loo_sums(w_hi), loo_sums(w_lo))[0]
 
@@ -197,16 +207,25 @@ def jackknife_variance(s, v, kind="ustat"):
     )
 
 
+def _check_level(level):
+    """Raise InvalidLevel unless the confidence ``level`` lies inside (0, 1)."""
+    if not 0.0 < level < 1.0:
+        raise InvalidLevel(f"confidence level must be inside (0, 1), got {level!r}")
+
+
 def confidence_interval(point, ve, level=0.95):
     """Normal-approximation confidence interval around a GIM estimate.
 
     Returns a copy of ``ve`` with ``level``, ``ci_low`` and ``ci_high``
     filled: point -/+ z * std_error with z the (1+level)/2 standard normal
-    quantile, clamped to [0, 1] since the measure lives there.  A NaN,
-    infinite or negative ``std_error`` raises InvalidStdError.
+    quantile, clamped to [0, 1] since the measure lives there.  A ``point``
+    outside [0, 1] (NaN included) raises InvalidArgument, a level outside
+    (0, 1) InvalidLevel, and a NaN, infinite or negative ``std_error``
+    InvalidStdError.
     """
-    if not 0.0 < level < 1.0:
-        raise InvalidLevel(f"confidence level must be inside (0, 1), got {level!r}")
+    if not 0.0 <= point <= 1.0:
+        raise InvalidArgument(f"point estimate must lie in [0, 1], got {point!r}")
+    _check_level(level)
     if not 0.0 <= ve.std_error < math.inf:
         raise InvalidStdError(
             f"std_error must be finite and non-negative, got {ve.std_error!r}"
@@ -259,8 +278,7 @@ def _edf_numerator_variance_at(dist, v, levels):
         inner[rows] = hk * np.sum(wi * uu * phi(uu, cuu), axis=2)
     outer = m.w * m.cu * f
     # int_0^a u Phi(u) du over the panels before each one
-    prefix = np.cumsum(np.sum(m.w * m.u * f, axis=1))
-    prefix = np.concatenate(([0.0], prefix[:-1]))
+    prefix = _running(np.sum(m.w * m.u * f, axis=1))[:-1]
     off_diagonal = np.cumsum(2.0 * np.sum(outer, axis=1) * prefix)[-1]
     diagonal = np.cumsum(2.0 * np.sum(outer * inner, axis=1))[-1]
     return v * v * float(off_diagonal + diagonal)

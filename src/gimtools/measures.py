@@ -17,8 +17,9 @@ estimators are provided:
 
 Both are estimates of the same two moments, so each estimator kind is just
 a pair of order-statistic weights (``extreme_weights``), and one summation
-core (``extreme_sums``) serves both estimators, the O(n) jackknife and the
-batched Monte Carlo harness alike.
+core (``extreme_sums``) serves both estimators and the batched Monte Carlo
+harness alike; the O(n) jackknife sums the same weights itself.  The Gini
+index ``gini_ustat`` is ``gim_ustat`` at v = 2.
 
 ``gim_ustat_naive`` enumerates the subsets literally and exists purely as a
 test oracle for the weighted form.
@@ -30,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EnumerationTooLarge, OrderExceedsSample, SampleTooSmall, ZeroMean, check_integer
+from .errors import (EnumerationTooLarge, InvalidArgument, OrderExceedsSample, SampleTooSmall,
+                     ZeroMean, check_integer)
 from .samples import as_sample
 
 
@@ -150,7 +152,7 @@ def extreme_weights(kind, n, v):
         i = np.arange(1, n + 1, dtype=float)
         scale = v / n
         return scale * (i / n) ** (v - 1), scale * ((n - i) / n) ** (v - 1)
-    raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    raise InvalidArgument(f"kind must be one of {KINDS}, got {kind!r}")
 
 
 def extreme_sums(x, w_hi, w_lo, v):
@@ -263,19 +265,21 @@ def gmd(s):
 
 
 def gini_ustat(s):
-    """Gini index estimate GMD / (2 * mean).
+    """Gini index estimate GMD / (2 * mean), computed as ``gim_ustat(s, 2).value``.
 
     Raises
     ------
+    SampleTooSmall
+        If the sample has fewer than 2 observations.
     ZeroMean
         If every income is zero (the index is 0/0 there).
     """
     s = as_sample(s)
-    mean = s.mean()
-    if mean == 0.0:
+    if s.n < 2:
+        raise SampleTooSmall("Gini index needs at least 2 observations")
+    if s.values[-1] == 0.0:
         raise ZeroMean("Gini index undefined for an all-zero sample")
-    # halving after the division is exact, and 2 * mean could overflow
-    return gmd(s) / mean / 2.0
+    return gim_ustat(s, 2).value
 
 
 def extended_gini(s, v):
@@ -311,7 +315,7 @@ def gim_ustat(s, v):
     moment estimates, so the ratio cannot leave the unit interval even in
     floating point.
 
-    At v = 2 this is exactly the Gini index estimate
+    At v = 2 this is the Gini index estimate :func:`gini_ustat`
     (the pair kernel sum (X_i + X_j) averages to 2 * mean).
 
     Parameters

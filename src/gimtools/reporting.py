@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import (EmptyColumn, InvalidArgument, InvalidBandwidth, NegativeIncome, NonFinite,
                      ParseError, check_integer)
-from .inference import METHODS, confidence_interval, jackknife_variance, ustat_variance
-from .measures import gim_ustat, gini_ustat
+from .inference import METHODS, _check_level, confidence_interval, jackknife_variance, ustat_variance
+from .measures import _check_order, gim_ustat, gini_ustat
 from .samples import as_sample, make_sample
 
 
@@ -57,7 +57,7 @@ def ingest_csv(path, column=0, delimiter=",", has_header=True):
     column : str or int
         Column name (requires a header row) or 0-based column index.
     delimiter : str
-        Field separator.
+        Field separator, one character.
     has_header : bool
         Whether the first row is a header.
 
@@ -69,6 +69,8 @@ def ingest_csv(path, column=0, delimiter=",", has_header=True):
 
     Raises
     ------
+    InvalidArgument
+        If ``delimiter`` is not one character (checked before the file opens).
     FileNotFoundError
         If the file does not exist.
     ParseError
@@ -81,6 +83,8 @@ def ingest_csv(path, column=0, delimiter=",", has_header=True):
     EmptyColumn
         If no usable values remain.
     """
+    if not isinstance(delimiter, str) or len(delimiter) != 1:
+        raise InvalidArgument(f"delimiter must be one character, got {delimiter!r}")
     with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as handle:
         reader = csv.reader(handle, delimiter=delimiter)
         index, line = _column_index(reader, path, column, has_header)
@@ -300,14 +304,16 @@ def report(s, v_list, ci_level=0.95, se_method="jackknife", label="sample"):
 
     ``se_method`` selects the interval machinery: ``"jackknife"``
     (recommended) or ``"plugin"``.  Entries come back in ``v_list`` order;
-    the v = 2 value equals the Gini index exactly.
+    the v = 2 value equals the Gini index exactly.  The orders, the level
+    and the method are checked before any estimate is computed.
     """
     s = as_sample(s)
-    v_list = list(v_list)
+    v_list = [_check_order(v, s.n) for v in v_list]
     if not v_list:
-        raise ValueError("v_list must name at least one order")
+        raise InvalidArgument("v_list must name at least one order")
+    _check_level(ci_level)
     if se_method not in METHODS:
-        raise ValueError(f"se_method must be one of {METHODS}, got {se_method!r}")
+        raise InvalidArgument(f"se_method must be one of {METHODS}, got {se_method!r}")
     gini = gini_ustat(s)
     entries = []
     for v in v_list:
@@ -319,7 +325,7 @@ def report(s, v_list, ci_level=0.95, se_method="jackknife", label="sample"):
         spread = confidence_interval(estimate.value, spread, ci_level)
         entries.append(
             GimReportEntry(
-                v=int(v),
+                v=v,
                 value=estimate.value,
                 ci_low=spread.ci_low,
                 ci_high=spread.ci_high,
@@ -375,8 +381,8 @@ def emit_density(s, out_path, bins=30, bandwidth=None, svg_path=None):
     bins = check_integer(bins, "bins", InvalidArgument, 1)
     if bandwidth is None:
         bandwidth = silverman_bandwidth(s)
-    elif not bandwidth > 0:
-        raise InvalidBandwidth(f"bandwidth must be positive, got {bandwidth!r}")
+    elif not 0 < bandwidth < math.inf:
+        raise InvalidBandwidth(f"bandwidth must be positive and finite, got {bandwidth!r}")
 
     x, exponent = s.scaled()
     # a bandwidth that vanishes at the sample's scale, or whose kernel

@@ -118,22 +118,22 @@ def default_grid(distributions, replications=10_000, base_seed=1,
     cells share replication streams; the last one must fit 64 bits too.
     """
     keys = [(dist, v, n) for dist in distributions for v in orders for n in sizes]
-    base_seed = _check_grid_seed(base_seed, len(keys))
-    return [
-        SimCell(dist=dist, n=n, v=v, replications=replications, base_seed=base_seed + i)
-        for i, (dist, v, n) in enumerate(keys)
-    ]
+    return _grid(keys, replications, base_seed)
 
 
-def _check_grid_seed(seed, cells):
-    """``seed`` as an int, if the ``cells`` consecutive seeds from it are all
-    64-bit stream keys, else :class:`InvalidArgument` naming the grid seed."""
+def _grid(keys, replications, seed):
+    """Cells of ``(dist, v, n)`` keys on consecutive seeds, the last one below 2**64."""
+    cells = len(keys)
     try:
-        return check_integer(seed, "seed", InvalidArgument, 0, (1 << 64) - max(cells - 1, 0))
+        seed = check_integer(seed, "seed", InvalidArgument, 0, (1 << 64) - max(cells - 1, 0))
     except InvalidArgument as exc:
         raise InvalidArgument(
             f"{exc}; the {cells} cells take consecutive seeds from seed up to seed + {cells - 1}"
         ) from None
+    return [
+        SimCell(dist=dist, n=n, v=v, replications=replications, base_seed=seed + i)
+        for i, (dist, v, n) in enumerate(keys)
+    ]
 
 
 def _parse_numbers(text, cast):
@@ -186,7 +186,7 @@ def load_grid_config(path):
         except ValueError as exc:
             raise ParseError(f"bad [run] value in {path!r}: {exc}") from exc
 
-    sections = []
+    keys = []
     for section in parser.sections():
         if section == "run":
             continue
@@ -206,16 +206,10 @@ def load_grid_config(path):
             orders = _parse_numbers(orders_text, int) if orders_text else DEFAULT_ORDERS
         except (TypeError, ValueError) as exc:
             raise ParseError(f"bad section [{section}] in {path!r}: {exc}") from exc
-        sections.append((dist, sizes, orders))
-    count = sum(len(sizes) * len(orders) for _, sizes, orders in sections)
-    if not count:
+        keys += [(dist, v, n) for v in orders for n in sizes]
+    if not keys:
         raise ParseError(f"no family sections found in {path!r}")
-    # checked against the whole grid before any section takes its seeds
-    _check_grid_seed(base_seed, count)
-    cells = []
-    for dist, sizes, orders in sections:
-        cells += default_grid([dist], replications, base_seed + len(cells), sizes, orders)
-    return cells
+    return _grid(keys, replications, base_seed)
 
 
 def emit_table(results, format="csv"):
@@ -258,4 +252,4 @@ def emit_table(results, format="csv"):
                 f"| {res.truth:.3f} |"
             )
         return "\n".join(lines) + "\n"
-    raise ValueError(f"format must be 'csv' or 'md', got {format!r}")
+    raise InvalidArgument(f"format must be 'csv' or 'md', got {format!r}")

@@ -142,6 +142,20 @@ def test_report_rejects_bad_order_list(fixture_csv, capsys):
 # density
 
 
+def test_report_jackknife_names_the_leave_one_out_sample(tmp_path, capsys):
+    """Deleting the only nonzero income leaves an all-zero sample; the sample
+    itself is not all zero, and plug-in intervals still work on it."""
+    path = tmp_path / "one_earner.csv"
+    path.write_text("income\n0\n0\n0\n5\n")
+    assert main(["report", "--input", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "gim report: error: GIM undefined for a leave-one-out sample: "
+        "deleting the only nonzero income leaves an all-zero sample\n"
+    )
+    assert main(["report", "--input", str(path), "--se", "plugin", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith(f"{path},1,2,1,")
+
+
 def test_density_writes_csv_and_svg(fixture_csv, tmp_path, capsys):
     out = tmp_path / "d.csv"
     svg = tmp_path / "d.svg"
@@ -287,8 +301,11 @@ def test_simulate_seed_without_room_for_every_cell_fails_in_one_line(capsys):
         ["selftest", "--seed", str(1 << 64)],
         ["density", "--input", "{csv}", "--bins", "0", "--out", "{out}"],
         ["report", "--input", "{csv}", "--column", "-5"],
+        ["describe", "--input", "{csv}", "--delimiter", ""],
+        ["describe", "--input", "{csv}", "--delimiter", ";;"],
     ],
-    ids=["reps", "seed", "selftest-seed", "selftest-seed-2**64", "bins", "column"],
+    ids=["reps", "seed", "selftest-seed", "selftest-seed-2**64", "bins", "column",
+         "delimiter-empty", "delimiter-two-characters"],
 )
 def test_bad_integer_argument_fails_in_one_line(fixture_csv, tmp_path, capsys, argv):
     argv = [arg.format(csv=fixture_csv, out=tmp_path / "d.csv") for arg in argv]

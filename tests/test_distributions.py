@@ -171,8 +171,15 @@ def test_parameter_validation():
         (lambda: Pareto(1.0, 1.0), r"shape must exceed 1 \(finite mean required\), got 1.0"),
         (lambda: Pareto(3.0, -2.0), "scale must be positive, got -2.0"),
         (lambda: Lognormal(0.0, float("nan")), "sdlog must be positive, got nan"),
+        (lambda: Exponential(float("inf")), "rate must be finite, got inf"),
+        (lambda: Pareto(float("inf")), "shape must be finite, got inf"),
+        (lambda: Pareto(3.0, float("inf")), "scale must be finite, got inf"),
+        (lambda: Lognormal(float("nan"), 1.0), "meanlog must be finite, got nan"),
+        (lambda: Lognormal(0.0, float("inf")), "sdlog must be finite, got inf"),
     ],
-    ids=["exponential-rate", "pareto-shape", "pareto-scale", "lognormal-sdlog"],
+    ids=["exponential-rate", "pareto-shape", "pareto-scale", "lognormal-sdlog",
+         "exponential-rate-inf", "pareto-shape-inf", "pareto-scale-inf",
+         "lognormal-meanlog-nan", "lognormal-sdlog-inf"],
 )
 def test_parameter_errors_are_typed(build, message):
     with pytest.raises(GimError, match=message) as info:

@@ -10,6 +10,8 @@ from scipy.special import ndtri
 
 from gimtools import (
     Exponential,
+    GimError,
+    InvalidArgument,
     InvalidLevel,
     InvalidStdError,
     Lognormal,
@@ -244,6 +246,22 @@ def test_jackknife_rejects_unknown_kind():
         jackknife_variance(make_sample([1.0, 2.0, 3.0]), 2, kind="bootstrap")
 
 
+def test_jackknife_unknown_kind_is_a_gim_error():
+    with pytest.raises(GimError, match="kind must be one of"):
+        jackknife_variance(make_sample([1.0, 2.0, 3.0]), 2, kind="bootstrap")
+
+
+@pytest.mark.parametrize("kind", ["ustat", "edf"])
+def test_leave_one_out_zero_mean_names_its_cause(kind):
+    with pytest.raises(ZeroMean, match="^GIM undefined for an all-zero sample$"):
+        leave_one_out(make_sample([0.0, 0.0, 0.0]), 2, kind)
+    with pytest.raises(ZeroMean, match="^GIM undefined for a leave-one-out sample: deleting "
+                       "the only nonzero income leaves an all-zero sample$"):
+        leave_one_out(make_sample([0.0, 0.0, 0.0, 5.0]), 2, kind)
+    # a second nonzero income keeps every leave-one-out sample defined
+    assert leave_one_out(make_sample([0.0, 0.0, 3.0, 5.0]), 2, kind).shape == (4,)
+
+
 def test_plugin_and_jackknife_se_within_factor_two_on_pinned_samples():
     """Loose sanity check: the asymptotic SE ratio is exactly 2 (sqrt of
     1/3 over 1/12), so individual samples land on either side of 2.  These
@@ -286,6 +304,13 @@ def test_confidence_interval_level_validation():
     for bad in (0.0, 1.0, -0.5, 1.7):
         with pytest.raises(InvalidLevel):
             confidence_interval(0.5, ve, level=bad)
+
+
+@pytest.mark.parametrize("point", [float("nan"), 1.5, -0.1])
+def test_confidence_interval_rejects_a_point_outside_the_unit_interval(point):
+    ve = VarianceEstimate(variance=0.01, method="jackknife", std_error=0.1)
+    with pytest.raises(InvalidArgument, match="point estimate must lie in"):
+        confidence_interval(point, ve)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1])

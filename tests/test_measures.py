@@ -26,6 +26,7 @@ from gimtools import (
     make_sample,
     max_moment_u,
     min_moment_u,
+    report,
     subset_weights,
 )
 from gimtools.measures import KINDS, edf_weights, extreme_sums, extreme_weights
@@ -222,6 +223,16 @@ def test_gini_identity(xs):
     """gim_ustat at v=2 is the Gini index, to near machine precision."""
     s = make_sample(xs)
     assert abs(gim_ustat(s, 2).value - gini_ustat(s)) <= 1e-12
+
+
+@given(incomes())
+@settings(max_examples=200, deadline=None)
+def test_gini_is_gim_2_bit_for_bit(xs):
+    """The Gini index is GIM(2): one computation, the same float everywhere."""
+    s = make_sample(xs)
+    assert gini_ustat(s) == gim_ustat(s, 2).value
+    row = report(s, [2], se_method="plugin")
+    assert row.gini == row.entries[0].value
 
 
 # ---------------------------------------------------------------------------

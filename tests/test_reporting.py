@@ -16,7 +16,9 @@ from numpy.testing import assert_allclose
 from gimtools import (
     EmptyColumn,
     Exponential,
+    GimError,
     InvalidArgument,
+    InvalidLevel,
     InvalidBandwidth,
     NegativeIncome,
     NonFinite,
@@ -122,6 +124,13 @@ def test_ingest_rejects_a_negative_column_index(tmp_path, column):
     for has_header in (True, False):
         with pytest.raises(ParseError, match=f"column index must be an integer >= 0, got {int(column)}"):
             ingest_csv(path, column=column, has_header=has_header)
+
+
+@pytest.mark.parametrize("delimiter", ["", ";;"], ids=["empty", "two-characters"])
+def test_ingest_rejects_a_delimiter_that_is_not_one_character(tmp_path, delimiter):
+    # checked before the file opens, so a missing file does not mask it
+    with pytest.raises(InvalidArgument, match=f"delimiter must be one character, got {delimiter!r}"):
+        ingest_csv(tmp_path / "nope.csv", column=0, delimiter=delimiter)
 
 
 def test_ingest_missing_file(tmp_path):
@@ -479,6 +488,22 @@ def test_report_rejects_unknown_method():
         report(make_sample([1.0, 2.0, 3.0, 4.0]), [2], se_method="bootstrap")
 
 
+@pytest.mark.parametrize(
+    "kwargs, error, message",
+    [
+        (dict(v_list=[]), InvalidArgument, "v_list must name at least one order"),
+        (dict(v_list=[2], se_method="bootstrap"), InvalidArgument, "se_method must be one of"),
+        (dict(v_list=[2], ci_level=1.5), InvalidLevel, "confidence level must be inside"),
+    ],
+    ids=["no-orders", "unknown-method", "bad-level"],
+)
+def test_report_checks_its_arguments_before_any_estimate(kwargs, error, message):
+    """An all-zero sample would fail at the gini: each bad argument is named first."""
+    with pytest.raises(GimError, match=message) as info:
+        report(make_sample([0.0, 0.0, 0.0]), **kwargs)
+    assert isinstance(info.value, error)
+
+
 def test_report_three_group_fixture_ordering():
     """A stratified synthetic population: widening the comparison group from
     pairs to triples raises the measured inequality."""
@@ -550,6 +575,8 @@ def test_emit_density_explicit_bandwidth(tmp_path):
     assert [line.split(",")[2] for line in out.read_text().splitlines()[1:]] == ["0"] * 4
     with pytest.raises(InvalidBandwidth):
         emit_density(s, out, bandwidth=0.0)
+    with pytest.raises(InvalidBandwidth, match="bandwidth must be positive and finite, got inf"):
+        emit_density(s, out, bandwidth=math.inf)
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from gimtools import (
     EmptyGrid,
     Exponential,
+    GimError,
     InvalidArgument,
     Lognormal,
     OrderExceedsSample,
@@ -244,6 +245,8 @@ def test_load_grid_config_defaults(tmp_path):
         ("[exponential]\nn = ten\n", "bad section"),
         ("[run]\nreplications = 10\n", "no family sections"),
         ("[exponential]\nrate = -1\n", "bad section"),
+        ("[exponential]\nrate = inf\n", "rate must be finite, got inf"),
+        ("[pareto]\nshape = inf\n", "shape must be finite, got inf"),
     ],
 )
 def test_load_grid_config_rejects(tmp_path, text, fragment):
@@ -299,6 +302,11 @@ def test_emit_table_markdown_layout():
     assert set(lines[1].replace("|", "")) == {"-"}
     assert len(lines) == 2 + 2  # one row per cell
     assert lines[2].count("|") == lines[0].count("|")
+
+
+def test_emit_table_bad_format_is_a_gim_error():
+    with pytest.raises(GimError, match="format must be 'csv' or 'md', got 'tsv'"):
+        emit_table(small_results(), format="tsv")
 
 
 def test_emit_table_rejects_bad_format_and_empty():
