@@ -32,7 +32,8 @@ import numpy as np
 
 from . import quadrature
 from .errors import InvalidArgument, InvalidLevel, InvalidStdError, SampleTooSmall, ZeroMean
-from .measures import _check_order, _unscale, _ustat_sums, extreme_weights, gim_ratio
+from .measures import (_check_order, _powers, _unscale, _ustat_sums, extreme_sums,
+                       extreme_weights, gim_ratio)
 from .samples import as_sample
 
 METHODS = ("plugin", "jackknife")
@@ -110,12 +111,11 @@ def _scaled_projection_variance(s, v):
         # ranks i/n as spread instead.
         return 0.0, 0
     x, scale = s.scaled()
-    grid = np.arange(1, n + 1, dtype=float)
-    forward = grid / n          # empirical cdf at each order statistic
-    backward = (n - grid) / n   # empirical survival
-    lead = x * (forward ** (v - 1) - backward ** (v - 1))
-    up = x * forward ** (v - 2)
-    down = x * backward ** (v - 2)
+    # F_i^e is p[1:] and the survival Fbar_i^e is p[:-1] read top-down
+    p1, p2 = _powers(n, v - 1), _powers(n, v - 2)
+    lead = x * (p1[1:] - p1[:-1][::-1])
+    up = x * p2[1:]
+    down = x * p2[:-1][::-1]
     # sum over j > i of up[j]; sum over j < i of down[j]
     tail = _running(up[::-1])[::-1][1:]
     head = _running(down)[:-1]
@@ -150,10 +150,17 @@ def leave_one_out(s, v, kind="ustat"):
     size n-1 in which positions below k keep their weight index and
     positions above k shift down by one.  Prefix/suffix sums over the
     size-(n-1) weight pair of :func:`~gimtools.measures.extreme_weights`
-    therefore give every leave-one-out max and min moment in one pass; this
-    is the exact delete-1 recomputation, not an approximation.  The sample
-    is scaled by the power of two that brings its maximum into [0.5, 1)
-    first, so the sums cannot overflow.
+    (its min side read bottom-up) therefore give every leave-one-out max
+    and min moment in one pass; this is the exact delete-1 recomputation,
+    not an approximation.  The sample is scaled by the power of two that
+    brings its maximum into [0.5, 1) first, so the sums cannot overflow.
+    Deleting the maximum leaves the n-1 smallest values, which are summed
+    at their own scale, in the same running order, so that incomes far
+    below the maximum cannot underflow to zero.
+
+    On a constant sample every deletion leaves the same constant sample,
+    and each ``out[k]`` is bit for bit the estimator's value on it: 0.0 for
+    ``"ustat"``.
 
     Returns
     -------
@@ -173,14 +180,26 @@ def leave_one_out(s, v, kind="ustat"):
             "income leaves an all-zero sample"
         )
     w_hi, w_lo = extreme_weights(kind, m, v)
+    if s.values[0] == s.values[-1]:
+        # every deletion leaves the same constant sample: estimate it once
+        e_max, e_min, _ = extreme_sums(s.values[:m], w_hi, w_lo, v)
+        return np.full(n, gim_ratio(e_max, e_min)[0])
+    weights = (w_hi, w_lo[::-1])  # both bottom-up, like the sample
     x, _ = s.scaled()
 
     def loo_sums(w):
-        kept = w * x[:m]       # weight j applied to position j   (j < k)
-        shifted = w * x[1:]    # weight j applied to position j+1 (j+1 > k)
-        return _running(kept) + _running(shifted[::-1])[::-1]
+        sums = _running(w * x[:m])                 # weight j at position j   (j < k)
+        sums += _running((w * x[1:])[::-1])[::-1]  # weight j at position j+1 (j+1 > k)
+        return sums
 
-    return gim_ratio(loo_sums(w_hi), loo_sums(w_lo))[0]
+    sums = [loo_sums(w) for w in weights]
+    # Deleting the maximum leaves the n-1 smallest values: sum them again at
+    # their own scale, in the same running order, so that incomes far below
+    # the maximum cannot underflow to zero.
+    rest = np.ldexp(s.values[:m], -np.frexp(s.values[m - 1])[1], out=x[:m])
+    for total, w in zip(sums, weights):
+        total[m] = np.cumsum(w * rest)[-1]
+    return gim_ratio(*sums)[0]
 
 
 def jackknife_variance(s, v, kind="ustat"):
@@ -200,7 +219,9 @@ def jackknife_variance(s, v, kind="ustat"):
             f"jackknife of order v={v} needs at least {max(v + 1, 3)} observations"
         )
     theta = leave_one_out(s, v, kind)
-    centered = theta - np.mean(theta)
+    # on a constant sample the n estimates are one float, which their
+    # rounded mean can miss by an ulp
+    centered = theta - (theta[0] if s.values[0] == s.values[-1] else np.mean(theta))
     variance = (s.n - 1) / s.n * float(np.sum(centered * centered))
     return VarianceEstimate(
         variance=variance, method="jackknife", std_error=float(np.sqrt(variance))

@@ -18,8 +18,12 @@ estimators are provided:
 Both are estimates of the same two moments, so each estimator kind is just
 a pair of order-statistic weights (``extreme_weights``), and one summation
 core (``extreme_sums``) serves both estimators and the batched Monte Carlo
-harness alike; the O(n) jackknife sums the same weights itself.  The Gini
-index ``gini_ustat`` is ``gim_ustat`` at v = 2.
+harness alike; the O(n) jackknife sums the same weights itself.  The min-of-v
+weight of X_{i:n} is the max-of-v weight of X_{n+1-i:n}, so each kind keeps
+one weight array and reads its min side top-down, from the other end: the
+U-statistic pair is one array twice, and the plug-in pair two overlapping
+views of one power array.  The Gini index ``gini_ustat`` is ``gim_ustat`` at
+v = 2.
 
 ``gim_ustat_naive`` enumerates the subsets literally and exists purely as a
 test oracle for the weighted form.
@@ -111,8 +115,10 @@ def subset_weights(n, v):
     Returns
     -------
     (w_max, w_min) : tuple of ndarray
-        Length-n weight vectors, each summing to 1.  ``w_min`` is
-        ``w_max`` reversed (max/min symmetry of subsets).
+        Length-n read-only weight vectors, each summing to 1, both indexed
+        bottom-up like the sorted sample.  ``w_min`` is the reversed view
+        ``w_max[::-1]``, not a copy (max/min symmetry of subsets): read
+        top-down, the min side is ``w_max`` itself.
     """
     _check_order(v, n)
     w_max = np.zeros(n)
@@ -126,32 +132,47 @@ def subset_weights(n, v):
     tail[1:] = np.arange(n - v, 0, -1, dtype=float)  # i - v for i = n .. v+1
     tail[1:] /= np.arange(n - 1, v - 1, -1, dtype=float)  # i - 1
     np.multiply.accumulate(tail, out=tail)
-    w_min = w_max[::-1].copy()
-    return w_max, w_min
+    w_max.flags.writeable = False
+    return w_max, w_max[::-1]
 
 
 KINDS = ("ustat", "edf")
 
 
+def _powers(n, e):
+    """``(k/n)**e`` for k = 0..n, one array for both ends of a sorted sample.
+
+    ``[1:]`` is the empirical cdf i/n at X_{i:n}, i = 1..n, to the power e;
+    ``[:-1]`` read top-down is its survival (n-i)/n to the same power.
+    """
+    return (np.arange(n + 1, dtype=float) / n) ** e
+
+
 def extreme_weights(kind, n, v):
     """Order-statistic weights of one estimator kind, as a (w_hi, w_lo) pair.
 
-    Summed against a sample sorted ascending, ``w_hi`` estimates
-    E(max of v) and ``w_lo`` estimates E(min of v); every GIM estimator is
-    the ratio of their difference to their sum (see :func:`extreme_sums`).
+    ``w_hi`` weights a sample sorted ascending and estimates E(max of v).
+    ``w_lo`` is read top-down: it weights the same sample reversed,
+    ``x[::-1]``, and estimates E(min of v).  Every GIM estimator is the
+    ratio of their difference to their sum (see :func:`extreme_sums`).
+    Both arrays are read-only.
 
-    * ``"ustat"``: the unbiased subset weights of :func:`subset_weights`;
-    * ``"edf"``: the plug-in weights (v/n) * (i/n)^(v-1) and
-      (v/n) * ((n-i)/n)^(v-1), i = 1..n.  Powers of ratios never leave the
-      unit interval, so any n and v are safe.
+    * ``"ustat"``: the unbiased subset weights of :func:`subset_weights`.
+      Read top-down the min side is the max side, so ``w_lo is w_hi``.
+    * ``"edf"``: the plug-in weights (v/n) * (i/n)^(v-1) and, top-down,
+      (v/n) * ((n-i)/n)^(v-1), i = 1..n.  Both are views of the one array
+      p[k] = (v/n) * (k/n)^(v-1), k = 0..n: ``w_hi = p[1:]`` and
+      ``w_lo = p[:-1]``.  Powers of ratios never leave the unit interval,
+      so any n and v are safe.
     """
     if kind == "ustat":
-        return subset_weights(n, v)
+        w_max, _ = subset_weights(n, v)
+        return w_max, w_max
     if kind == "edf":
         _check_order(v, n)
-        i = np.arange(1, n + 1, dtype=float)
-        scale = v / n
-        return scale * (i / n) ** (v - 1), scale * ((n - i) / n) ** (v - 1)
+        p = v / n * _powers(n, v - 1)
+        p.flags.writeable = False
+        return p[1:], p[:-1]
     raise InvalidArgument(f"kind must be one of {KINDS}, got {kind!r}")
 
 
@@ -165,11 +186,12 @@ def extreme_sums(x, w_hi, w_lo, v):
     overflow.  Returns ``(e_max, e_min, exponent)``: the moment estimates
     are ``e_max * 2**exponent`` and ``e_min * 2**exponent``.
 
-    The min-of-v moment is accumulated as sum(w_lo[::-1] * x[::-1]).  For
-    the U-statistic ``w_lo[::-1]`` is ``w_hi`` itself, so on a constant
-    sample the two product vectors are bitwise identical and the estimated
-    range is exactly zero.  At v = 1 max and min are the same statistic,
-    so the max side is returned for both.
+    The min-of-v moment is accumulated as sum(w_lo * x[::-1]), with
+    ``w_lo`` read top-down as given.  For the U-statistic ``w_lo`` is
+    ``w_hi`` itself, so on a constant sample the two product vectors are
+    bitwise identical and the estimated range is exactly zero.  At v = 1
+    max and min are the same statistic, so the max side is returned for
+    both.
     """
     exponent = np.frexp(x[..., -1:])[1]
     # One scratch array, scaled and multiplied in place: at simulation batch
@@ -180,7 +202,7 @@ def extreme_sums(x, w_hi, w_lo, v):
     if v == 1:
         return e_max, e_max, exponent[..., 0]
     np.ldexp(x[..., ::-1], -exponent, out=scratch)
-    np.multiply(scratch, w_lo[::-1], out=scratch)
+    np.multiply(scratch, w_lo, out=scratch)
     return e_max, np.sum(scratch, axis=-1), exponent[..., 0]
 
 
@@ -385,9 +407,10 @@ def edf_weights(n, v):
         w_den[i] = (v/n) * ((i/n)^(v-1) + ((n-i)/n)^(v-1)),
 
     for i = 1..n: the difference and sum of the ``"edf"`` pair of
-    :func:`extreme_weights`.
+    :func:`extreme_weights`, with its top-down min side read bottom-up.
     """
     w_hi, w_lo = extreme_weights("edf", n, v)
+    w_lo = w_lo[::-1]
     return w_hi - w_lo, w_hi + w_lo
 
 

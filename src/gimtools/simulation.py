@@ -63,7 +63,7 @@ class SimResult:
 _FIELD_TAG = dict(zip(KINDS, ("u", "edf")))
 
 
-def run_cell(cell, workers=None):
+def run_cell(cell):
     """Run one Monte Carlo cell and summarize both estimators.
 
     Replications run in chunks of 512, in index order, on the calling
@@ -72,9 +72,6 @@ def run_cell(cell, workers=None):
     Parameters
     ----------
     cell : SimCell
-    workers : int, optional
-        Accepted for compatibility and ignored: the cell always runs on
-        one thread.
 
     Returns
     -------

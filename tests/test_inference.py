@@ -262,6 +262,31 @@ def test_leave_one_out_zero_mean_names_its_cause(kind):
     assert leave_one_out(make_sample([0.0, 0.0, 3.0, 5.0]), 2, kind).shape == (4,)
 
 
+@pytest.mark.parametrize("kind", ["ustat", "edf"])
+@pytest.mark.parametrize("n", [7, 37, 1001])
+@pytest.mark.parametrize("c", [0.1, 1 / 3, 3.7, 123456.789])
+def test_jackknife_exact_on_a_constant_sample(c, n, kind):
+    estimator = gim_ustat if kind == "ustat" else gim_edf
+    for v in (2, 3, 5):
+        expect = estimator(np.full(n - 1, c), v).value
+        assert leave_one_out(np.full(n, c), v, kind).tobytes() == np.full(n, expect).tobytes()
+        assert jackknife_variance(np.full(n, c), v, kind).variance == 0.0
+        if kind == "ustat":
+            assert expect == 0.0
+
+
+@pytest.mark.parametrize("kind", ["ustat", "edf"])
+def test_leave_one_out_sums_the_top_deletion_at_its_own_scale(kind):
+    # at the scale of 1e300 the incomes left by deleting it underflow to 0
+    estimator = gim_ustat if kind == "ustat" else gim_edf
+    for xs, v in (([0.0, 0.0, 1e-300, 1e300], 2), ([1e-300, 2e-300, 1e300], 1),
+                  ([1e-300, 2e-300, 1e300], 2)):
+        theta = leave_one_out(make_sample(xs), v, kind)
+        assert theta[-1] == estimator(xs[:-1], v).value
+    # every deletion leaves one income that dwarfs the rest: each estimate rounds to 1
+    assert jackknife_variance(make_sample([0.0, 0.0, 1e-300, 1e300]), 2, kind).variance == 0.0
+
+
 def test_plugin_and_jackknife_se_within_factor_two_on_pinned_samples():
     """Loose sanity check: the asymptotic SE ratio is exactly 2 (sqrt of
     1/3 over 1/12), so individual samples land on either side of 2.  These

@@ -117,6 +117,13 @@ def test_subset_weights_match_binomials(n, v):
     assert np.all(w_min == w_max[::-1])
     assert_allclose(w_max.sum(), 1.0, rtol=1e-12)
     assert_allclose(w_min.sum(), 1.0, rtol=1e-12)
+    # one array: w_min is its reversed view, and read top-down the min side is w_max
+    assert np.shares_memory(w_min, w_max)
+    w_hi, w_lo = extreme_weights("ustat", n, v)
+    assert w_lo is w_hi and w_hi.tobytes() == w_max.tobytes()
+    for w in (w_max, w_min, w_hi):
+        with pytest.raises(ValueError):
+            w[0] = 0.0
 
 
 def _subset_weights_loop(n, v):
@@ -442,6 +449,19 @@ def test_edf_weights_small_case():
     # (v/n) * ((i/n)^(v-1) -/+ ((n-i)/n)^(v-1)), i = 1..3
     assert_allclose(w_num, [2 / 3 * (1 / 3 - 2 / 3), 2 / 3 * (2 / 3 - 1 / 3), 2 / 3], rtol=1e-14)
     assert_allclose(w_den, [2 / 3 * (1 / 3 + 2 / 3), 2 / 3 * (2 / 3 + 1 / 3), 2 / 3], rtol=1e-14)
+
+
+@pytest.mark.parametrize("n,v", [(1, 1), (2, 1), (5, 2), (10, 3), (25, 7), (200, 2), (1000, 5)])
+def test_edf_pair_is_one_power_array_read_from_both_ends(n, v):
+    i = np.arange(1, n + 1, dtype=float)
+    w_hi, w_lo = extreme_weights("edf", n, v)
+    assert w_hi.tobytes() == (v / n * (i / n) ** (v - 1)).tobytes()
+    # w_lo is read top-down: reversed, it weights the sample bottom-up
+    assert w_lo[::-1].tobytes() == (v / n * ((n - i) / n) ** (v - 1)).tobytes()
+    assert w_hi.base is w_lo.base is not None
+    for w in (w_hi, w_lo):
+        with pytest.raises(ValueError):
+            w[0] = 0.0
 
 
 def test_gim_edf_small_cases():

