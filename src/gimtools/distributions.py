@@ -26,7 +26,7 @@ behind ``scipy.special.ndtri``), and its normal cdf takes ``math.erf`` /
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -104,6 +104,7 @@ class Distribution:
 
     name = "?"
     _lower = {}  # field name -> (exclusive lower bound, requirement), per family
+    _unit = {}  # the parameter values of the family's unit-scale member
 
     def __post_init__(self):
         for f in fields(self):  # the bound first: a NaN fails it where one is set
@@ -160,6 +161,7 @@ class Exponential(Distribution):
     rate: float = 1.0
     name = "exponential"
     _lower = {"rate": (0.0, "be positive")}
+    _unit = {"rate": 1.0}
 
     def _cdf(self, x):
         return np.where(x < 0, 0.0, -np.expm1(-self.rate * np.maximum(x, 0.0)))
@@ -194,6 +196,7 @@ class Pareto(Distribution):
     scale: float = 1.0
     name = "pareto"
     _lower = {"shape": (1.0, "exceed 1 (finite mean required)"), "scale": (0.0, "be positive")}
+    _unit = {"scale": 1.0}
 
     def _cdf(self, x):
         return np.where(x < self.scale, 0.0, 1.0 - (self.scale / np.maximum(x, self.scale)) ** self.shape)
@@ -348,6 +351,7 @@ class Lognormal(Distribution):
     sdlog: float = 1.0
     name = "lognormal"
     _lower = {"sdlog": (0.0, "be positive")}
+    _unit = {"meanlog": 0.0}
 
     def _standardized_log(self, x):
         """``(inside, safe, z)``: the support mask, x with 1 off it, and z."""
@@ -378,7 +382,10 @@ class Lognormal(Distribution):
         return self.sdlog * _SQRT_2PI * np.exp(self.meanlog + self.sdlog * z + 0.5 * z * z)
 
     def mean(self):
-        return math.exp(self.meanlog + 0.5 * self.sdlog**2)
+        try:
+            return math.exp(self.meanlog + 0.5 * self.sdlog**2)
+        except OverflowError:  # past the float range
+            return math.inf
 
     def _closed_extremes(self, v):
         if v == 1:
@@ -452,6 +459,12 @@ def theoretical_extremes(dist, v, force_quadrature=False):
 
 
 def theoretical_gim(dist, v, force_quadrature=False):
-    """Theoretical GIM(v) = (E max_v - E min_v)/(E max_v + E min_v)."""
+    """Theoretical GIM(v) = (E max_v - E min_v)/(E max_v + E min_v).
+
+    GIM is scale-free, so it is evaluated on the family's unit-scale member
+    (rate 1, scale 1 or meanlog 0): the scale never reaches the arithmetic,
+    and a member whose moments leave the float range still has its value.
+    """
+    dist = replace(dist, **dist._unit)
     e_max, e_min = theoretical_extremes(dist, v, force_quadrature=force_quadrature)
     return (e_max - e_min) / (e_max + e_min)

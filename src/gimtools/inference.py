@@ -22,6 +22,14 @@ numerator and denominator statistics, and measurably overstates the
 variance (by about 4x for the exponential family at v = 2); the jackknife
 tracks the true sampling variance closely and is the recommended default.
 Both are reported so the two can be compared side by side.
+
+The jackknife's prefix and suffix sums are sequential running sums over the
+whole sample, swept block by block (``measures._BLOCK`` positions at a time)
+so that each numpy pass works on operands that stay in cache.  The carry
+rule makes the blocks invisible: the running total of one block is added
+into the next block's first term before its scan, which repeats the single
+scan's additions in the same order, so every sum is bit for bit that of one
+sequential ``np.cumsum``.
 """
 
 import math
@@ -32,7 +40,7 @@ import numpy as np
 
 from . import quadrature
 from .errors import InvalidArgument, InvalidLevel, InvalidStdError, SampleTooSmall, ZeroMean
-from .measures import (_check_order, _powers, _unscale, _ustat_sums, extreme_sums,
+from .measures import (_BLOCK, _check_order, _powers, _unscale, _ustat_sums, extreme_sums,
                        extreme_weights, gim_ratio)
 from .samples import as_sample
 
@@ -154,12 +162,21 @@ def leave_one_out(s, v, kind="ustat"):
     and min moment in one pass; this is the exact delete-1 recomputation,
     not an approximation.  The sample is scaled by the power of two that
     brings its maximum into [0.5, 1) first, so the sums cannot overflow.
-    Deleting the maximum leaves the n-1 smallest values, which are summed
-    at their own scale, in the same running order, so that incomes far
-    below the maximum cannot underflow to zero.
+    Deleting the maximum leaves the n-1 smallest values; when the largest
+    of them lies in a lower binade they are summed again at their own
+    scale, in the same running order, so that incomes far below the
+    maximum cannot underflow to zero.
 
-    On a constant sample every deletion leaves the same constant sample,
-    and each ``out[k]`` is bit for bit the estimator's value on it: 0.0 for
+    The prefix sums come from an ascending sweep and the suffix sums from
+    a descending one, each over blocks of ``measures._BLOCK`` positions
+    with the running total carried into the next block's first term: bit
+    for bit the values of one sequential ``np.cumsum`` per side.  The
+    descending sweep adds each block's suffix sums in and forms that
+    block's ratios while the block is still in cache.
+
+    A deletion that leaves a constant sample (any deletion from a constant
+    sample, or deleting the one value that differs from the rest at either
+    end) gets, bit for bit, the estimator's value on that sample: 0.0 for
     ``"ustat"``.
 
     Returns
@@ -174,32 +191,69 @@ def leave_one_out(s, v, kind="ustat"):
         raise SampleTooSmall(
             f"leave-one-out of order v={v} needs at least {v + 1} observations"
         )
-    if s.values[-2] == 0.0 < s.values[-1]:
+    values = s.values
+    if values[-2] == 0.0 < values[-1]:
         raise ZeroMean(
             "GIM undefined for a leave-one-out sample: deleting the only nonzero "
             "income leaves an all-zero sample"
         )
     w_hi, w_lo = extreme_weights(kind, m, v)
-    if s.values[0] == s.values[-1]:
+
+    def estimate(rest):
+        return gim_ratio(*extreme_sums(rest, w_hi, w_lo, v)[:2])[0]
+
+    if values[0] == values[-1]:
         # every deletion leaves the same constant sample: estimate it once
-        e_max, e_min, _ = extreme_sums(s.values[:m], w_hi, w_lo, v)
-        return np.full(n, gim_ratio(e_max, e_min)[0])
-    weights = (w_hi, w_lo[::-1])  # both bottom-up, like the sample
+        return np.full(n, estimate(values[:m]))
     x, _ = s.scaled()
-
-    def loo_sums(w):
-        sums = _running(w * x[:m])                 # weight j at position j   (j < k)
-        sums += _running((w * x[1:])[::-1])[::-1]  # weight j at position j+1 (j+1 > k)
-        return sums
-
-    sums = [loo_sums(w) for w in weights]
-    # Deleting the maximum leaves the n-1 smallest values: sum them again at
-    # their own scale, in the same running order, so that incomes far below
-    # the maximum cannot underflow to zero.
-    rest = np.ldexp(s.values[:m], -np.frexp(s.values[m - 1])[1], out=x[:m])
-    for total, w in zip(sums, weights):
-        total[m] = np.cumsum(w * rest)[-1]
-    return gim_ratio(*sums)[0]
+    # e_max[k], e_min[k]: the moment sums with sorted observation k deleted
+    e_max, e_min = np.empty(n), np.empty(n)
+    e_max[0] = e_min[0] = 0.0
+    sides = ((e_max, w_hi), (e_min, w_lo[::-1]))  # weights bottom-up, like the sample
+    for start in range(0, m, _BLOCK):  # weight j at position j, for j < k
+        stop = min(start + _BLOCK, m)
+        for sums, w in sides:
+            t = np.multiply(w[start:stop], x[start:stop], out=sums[start + 1:stop + 1])
+            if start:
+                t[0] += sums[start]
+            np.add.accumulate(t, out=t)
+    exponent = math.frexp(values[m - 1])[1]
+    if exponent != math.frexp(values[m])[1]:
+        # Deleting the maximum leaves the n-1 smallest values: sum them again
+        # at their own scale, in the same running order.  In the maximum's
+        # binade that scaled copy is x[:m] itself, whose sums are already in
+        # e_max[m] and e_min[m].
+        rest = np.ldexp(values[:m], -exponent)
+        for sums, w in sides:
+            sums[m] = np.add.accumulate(w * rest)[-1]
+    block = np.empty(min(m, _BLOCK) + 1)
+    carry = [0.0, 0.0]
+    for stop in range(m, 0, -_BLOCK):  # weight j at position j+1, for j >= k: from the top
+        start = max(stop - _BLOCK, 0)
+        t = block[:stop - start]
+        for side, (sums, w) in enumerate(sides):
+            np.multiply(w[start:stop], x[start + 1:stop + 1], out=t)
+            if stop < m:
+                t[-1] += carry[side]
+            np.add.accumulate(t[::-1], out=t[::-1])
+            carry[side] = t[0]
+            np.add(sums[start:stop], t, out=sums[start:stop])
+        # these deletions' sums (and in the first block the top deletion's)
+        # are complete: gim_ratio on them in place, into e_max
+        end = stop + 1 if stop == m else stop
+        hi, lo = e_max[start:end], e_min[start:end]
+        denominator = np.add(hi, lo, out=block[:end - start])
+        if (denominator == 0.0).any():
+            raise ZeroMean("GIM undefined for an all-zero sample")
+        np.maximum(np.subtract(hi, lo, out=hi), 0.0, out=hi)
+        np.divide(hi, denominator, out=hi)
+    out = e_max
+    # the only deletions that can leave a constant sample
+    if values[1] == values[-1]:
+        out[0] = estimate(values[1:])
+    elif values[0] == values[m - 1]:
+        out[m] = estimate(values[:m])
+    return out
 
 
 def jackknife_variance(s, v, kind="ustat"):
@@ -221,8 +275,8 @@ def jackknife_variance(s, v, kind="ustat"):
     theta = leave_one_out(s, v, kind)
     # on a constant sample the n estimates are one float, which their
     # rounded mean can miss by an ulp
-    centered = theta - (theta[0] if s.values[0] == s.values[-1] else np.mean(theta))
-    variance = (s.n - 1) / s.n * float(np.sum(centered * centered))
+    theta -= theta[0] if s.values[0] == s.values[-1] else np.mean(theta)
+    variance = (s.n - 1) / s.n * float(np.sum(np.square(theta, out=theta)))
     return VarianceEstimate(
         variance=variance, method="jackknife", std_error=float(np.sqrt(variance))
     )

@@ -86,6 +86,14 @@ def _check_order(v, n=None):
     return v
 
 
+# Running sums and products are built this many elements at a time (128 KB
+# per float64 operand), so each numpy pass stays in cache.  The previous
+# block's last value folded into the next block's first term
+# (``t[0] += carry``, ``f[0] *= carry``) repeats a single scan's operations
+# in the same order, so the result is bit for bit the same.
+_BLOCK = 1 << 14
+
+
 def subset_weights(n, v):
     """Order-statistic weights of the subset-extremes U-statistic.
 
@@ -103,7 +111,10 @@ def subset_weights(n, v):
     representable in memory.  Starting from w_max[n] = v/n, each step down
     multiplies by the ratio w_max[i-1]/w_max[i] = (i-v)/(i-1); the whole
     tail w_max[v..n] is one cumulative product of the factors
-    [v/n, (n-v)/(n-1), ..., 1/v], read from the top index down.
+    [v/n, (n-v)/(n-1), ..., 1/v], read from the top index down.  The
+    product runs a block of ``_BLOCK`` factors at a time, the last weight
+    of one block multiplied into the first factor of the next: the same
+    multiplications in the same order as a single scan, so the same bits.
 
     Parameters
     ----------
@@ -123,15 +134,22 @@ def subset_weights(n, v):
     _check_order(v, n)
     w_max = np.zeros(n)
     # w_max[i] = C(i-1, v-1)/C(n, v); stepping i -> i-1 multiplies by (i-v)/(i-1).
-    # The factors are written into the tail, top index first, and the running
-    # product overwrites them, so at most one length-n temporary is alive.
-    # Each ratio is formed first so a ratio of exactly 1 (v = 1) leaves the
-    # weight bit-identical instead of drifting through a round trip.
+    # The tail w_max[v-1:], read top index first, is the running product of
+    # v/n and these ratios: entry j >= 1 multiplies by (n-j+1-v)/(n-j).  Each
+    # ratio is formed first so a ratio of exactly 1 (v = 1) leaves the weight
+    # bit-identical instead of drifting through a round trip.
     tail = w_max[v - 1:][::-1]
-    tail[0] = v / n
-    tail[1:] = np.arange(n - v, 0, -1, dtype=float)  # i - v for i = n .. v+1
-    tail[1:] /= np.arange(n - 1, v - 1, -1, dtype=float)  # i - 1
-    np.multiply.accumulate(tail, out=tail)
+    size = n - v + 1
+    below = np.arange(n, n - min(_BLOCK, size), -1.0)  # n - j over the first block
+    factors = np.empty_like(below)
+    for start in range(0, size, _BLOCK):
+        if start:
+            below -= _BLOCK
+        d = below[:size - start]
+        f = np.subtract(d, v - 1, out=factors[:len(d)])
+        f /= d
+        f[0] = f[0] * tail[start - 1] if start else v / n  # the carry, or the top weight
+        np.multiply.accumulate(f, out=tail[start:start + len(f)])
     w_max.flags.writeable = False
     return w_max, w_max[::-1]
 

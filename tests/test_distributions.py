@@ -1,6 +1,7 @@
 """Parametric families: transforms, seeded sampling, theoretical values."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -407,6 +408,30 @@ def test_theoretical_gim_scale_free():
             theoretical_gim(Lognormal(4.0, 0.7), v),
             rtol=1e-9,
         )
+
+
+@pytest.mark.parametrize(
+    "dist, unit",
+    [(Pareto(3.0, 1e308), Pareto(3.0, 1.0)), (Lognormal(800.0, 1.0), Lognormal(0.0, 1.0)),
+     (Exponential(1e-320), Exponential(1.0)), (Exponential(2.5), Exponential(1.0))],
+    ids=lambda d: d.params_label(),
+)
+def test_theoretical_gim_never_sees_the_scale(dist, unit):
+    # the unit-scale member is evaluated, so moments past the float range
+    # (Pareto's E max near 1e308, the lognormal's exp(800)) cost nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for v in (2, 3, 5):
+            assert theoretical_gim(dist, v) == theoretical_gim(unit, v)
+
+
+def test_lognormal_mean_is_inf_past_the_float_range():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert Lognormal(800.0, 1.0).mean() == math.inf
+        assert Lognormal(0.0, 1e200).mean() == math.inf
+        assert Lognormal(-800.0, 1.0).mean() == 0.0
+    assert Lognormal(0.0, 1.0).mean() == math.exp(0.5)
 
 
 def test_theoretical_gim_increases_with_order():

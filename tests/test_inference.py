@@ -39,7 +39,7 @@ from gimtools import (
 from gimtools import quadrature
 from gimtools.distributions import _MIN_UNIFORM
 from gimtools.inference import _NESTED_BLOCK, _edf_numerator_variance_at
-from gimtools.measures import subset_weights
+from gimtools.measures import _BLOCK, extreme_weights, gim_ratio, subset_weights
 
 
 def numerator_draws(dist, n, v, reps, seed, chunk=250):
@@ -285,6 +285,64 @@ def test_leave_one_out_sums_the_top_deletion_at_its_own_scale(kind):
         assert theta[-1] == estimator(xs[:-1], v).value
     # every deletion leaves one income that dwarfs the rest: each estimate rounds to 1
     assert jackknife_variance(make_sample([0.0, 0.0, 1e-300, 1e300]), 2, kind).variance == 0.0
+
+
+@pytest.mark.parametrize("kind", ["ustat", "edf"])
+@pytest.mark.parametrize("n", [7, 37, 1002])
+def test_leave_one_out_exact_when_one_deletion_leaves_a_constant_sample(n, kind):
+    # deleting the one value that differs at either end leaves a constant
+    # sample; its estimate must be the estimator's, bit for bit (0 for ustat)
+    estimator = gim_ustat if kind == "ustat" else gim_edf
+    for c, odd, k in ((3.7, 0.037, 0), (1 / 3, 5 / 3, -1), (0.1, 0.0, 0), (123456.789, 1e300, -1)):
+        xs = np.r_[np.full(n - 1, c), odd]
+        for v in (2, 3, 5):
+            expect = estimator(np.full(n - 1, c), v).value
+            theta = leave_one_out(xs, v, kind)
+            assert theta[k] == expect
+            assert kind == "edf" or expect == 0.0
+
+
+def _leave_one_out_unblocked(xs, v, kind):
+    """The delete-1 estimates with one sequential ``np.cumsum`` per running sum.
+
+    Test reference for the block sweeps of :func:`leave_one_out`, which must
+    add the same terms in the same order and so match it bit for bit.
+    """
+    s = make_sample(xs)
+    n, m = s.n, s.n - 1
+    w_hi, w_lo = extreme_weights(kind, m, v)
+    x, _ = s.scaled()
+    rest = np.ldexp(s.values[:m], -np.frexp(s.values[m - 1])[1])
+    sums = []
+    for w in (w_hi, w_lo[::-1]):
+        prefix, suffix = np.zeros(n), np.zeros(n)
+        np.cumsum(w * x[:m], out=prefix[1:])
+        np.cumsum((w * x[1:])[::-1], out=suffix[1:])
+        total = prefix + suffix[::-1]
+        total[m] = np.cumsum(w * rest)[-1]
+        sums.append(total)
+    return gim_ratio(*sums)[0]
+
+
+@pytest.mark.parametrize("kind", ["ustat", "edf"])
+@pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1, _BLOCK + 2, 2 * _BLOCK + 1])
+def test_leave_one_out_bit_identical_across_block_edges(n, kind):
+    # the sweeps run over the n - 1 weight positions: n = _BLOCK + 2 is the
+    # first size with two blocks, the last of them one position long
+    rng = np.random.default_rng(n)
+    spread = rng.lognormal(0.0, 1.0, n)
+    lower = rng.lognormal(0.0, 1.0, n)
+    lower[-1] = 4.0 * lower.max()  # the second largest value lies a binade or more lower
+    heavy = rng.pareto(1.2, n) + 1.0
+    for xs in (spread, lower, heavy):
+        s = make_sample(xs)
+        for v in (2, 3, 5):
+            theta = leave_one_out(s, v, kind)
+            expect = _leave_one_out_unblocked(xs, v, kind)
+            assert np.array_equal(theta, expect)
+            centered = expect - np.mean(expect)
+            variance = (n - 1) / n * float(np.sum(centered * centered))
+            assert jackknife_variance(s, v, kind).variance == variance
 
 
 def test_plugin_and_jackknife_se_within_factor_two_on_pinned_samples():

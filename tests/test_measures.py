@@ -29,7 +29,7 @@ from gimtools import (
     report,
     subset_weights,
 )
-from gimtools.measures import KINDS, edf_weights, extreme_sums, extreme_weights
+from gimtools.measures import _BLOCK, KINDS, edf_weights, extreme_sums, extreme_weights
 from gimtools.simulation import DEFAULT_ORDERS, DEFAULT_SIZES
 
 # ---------------------------------------------------------------------------
@@ -161,6 +161,20 @@ def test_subset_weights_bit_identical_to_loop_fixed(n, v):
     # the default simulate grid and a report-sized n: simulate's
     # byte-identical output rests on these weights not moving
     _assert_weights_match_loop(n, v)
+
+
+@pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+def test_subset_weights_bit_identical_across_block_edges(n):
+    # reference: the factors formed whole, then one running product
+    for v in (1, 2, 3, n - 1, n):
+        factors = np.empty(n - v + 1)
+        factors[0] = v / n
+        factors[1:] = np.arange(n - v, 0, -1, dtype=float) / np.arange(n - 1, v - 1, -1, dtype=float)
+        expect = np.zeros(n)
+        expect[v - 1:] = np.multiply.accumulate(factors)[::-1]
+        w_max, w_min = subset_weights(n, v)
+        assert np.array_equal(w_max, expect)
+        assert np.array_equal(w_min, expect[::-1])
 
 
 def test_subset_weights_large_n_no_overflow():
