@@ -217,16 +217,21 @@ def leave_one_out(s, v, kind="ustat"):
             if start:
                 t[0] += sums[start]
             np.add.accumulate(t, out=t)
+    block = np.empty(min(m, _BLOCK) + 1)
     exponent = math.frexp(values[m - 1])[1]
     if exponent != math.frexp(values[m])[1]:
         # Deleting the maximum leaves the n-1 smallest values: sum them again
-        # at their own scale, in the same running order.  In the maximum's
-        # binade that scaled copy is x[:m] itself, whose sums are already in
-        # e_max[m] and e_min[m].
-        rest = np.ldexp(values[:m], -exponent)
+        # at their own scale, in the same running order and with the same
+        # carry rule, a block at a time.  In the maximum's binade that scaled
+        # copy is x[:m] itself, whose sums are already in e_max[m] and e_min[m].
         for sums, w in sides:
-            sums[m] = np.add.accumulate(w * rest)[-1]
-    block = np.empty(min(m, _BLOCK) + 1)
+            for start in range(0, m, _BLOCK):
+                stop = min(start + _BLOCK, m)
+                t = np.ldexp(values[start:stop], -exponent, out=block[:stop - start])
+                t *= w[start:stop]
+                if start:
+                    t[0] += sums[m]
+                sums[m] = np.add.accumulate(t, out=t)[-1]
     carry = [0.0, 0.0]
     for stop in range(m, 0, -_BLOCK):  # weight j at position j+1, for j >= k: from the top
         start = max(stop - _BLOCK, 0)

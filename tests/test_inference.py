@@ -345,6 +345,28 @@ def test_leave_one_out_bit_identical_across_block_edges(n, kind):
             assert jackknife_variance(s, v, kind).variance == variance
 
 
+@pytest.mark.parametrize("kind", ["ustat", "edf"])
+def test_leave_one_out_memory_does_not_depend_on_the_top_binade(kind):
+    # summing the top deletion again at its own scale runs in the block
+    # buffer: no length-n temporaries, so the peak is the same either way
+    import tracemalloc
+
+    n = 4 * _BLOCK
+    same = np.random.default_rng(3).uniform(1.0, 1.5, n)
+    lower = same.copy()
+    lower[-1] = 4.0  # the second largest value lies two binades lower
+    peaks = []
+    for xs in (same, lower):
+        s = make_sample(xs)
+        tracemalloc.start()
+        try:
+            leave_one_out(s, 3, kind)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 8 * _BLOCK
+
+
 def test_plugin_and_jackknife_se_within_factor_two_on_pinned_samples():
     """Loose sanity check: the asymptotic SE ratio is exactly 2 (sqrt of
     1/3 over 1/12), so individual samples land on either side of 2.  These
