@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import quadrature
-from .errors import InvalidArgument, InvalidProbability, SampleTooSmall, check_integer
+from .errors import InvalidArgument, InvalidProbability, NonFinite, SampleTooSmall, check_integer
 from .measures import _check_order
 from .samples import IncomeSample
 
@@ -134,6 +134,10 @@ class Distribution:
 
     def _closed_extremes(self, v):
         return None  # no closed form; quadrature fallback
+
+    def _unit_member(self):
+        """The family's member at unit scale (rate 1, scale 1 or meanlog 0), same shape."""
+        return replace(self, **self._unit)
 
     def params_label(self):
         """Short deterministic ``key=value`` string for tables and CSV."""
@@ -407,10 +411,16 @@ FAMILIES = {
 
 
 def inverse_transform(dist, u):
-    """Sorted draws (last axis) of ``dist`` from uniforms ``u``, clamped in place."""
+    """Sorted draws (last axis) of ``dist`` from uniforms ``u``, clamped in place.
+
+    A draw past the float range raises NonFinite naming ``dist``.
+    """
     np.maximum(u, _MIN_UNIFORM, out=u)
-    x = dist._q(u, 1.0 - u)
+    with np.errstate(over="ignore"):
+        x = dist._q(u, 1.0 - u)
     x.sort(axis=-1)
+    if not np.isfinite(x[..., -1]).all():  # the sort puts inf and NaN last
+        raise NonFinite(f"draws of {dist!r} leave the float range")
     return x
 
 
@@ -424,7 +434,7 @@ def draw_sample(dist, n, stream):
     the property the Monte Carlo harness builds its determinism on.
     """
     n = check_integer(n, "sample size n", SampleTooSmall, 1)
-    # already validated by construction: finite, positive support
+    # the support is non-negative and inverse_transform checks finiteness
     return IncomeSample(inverse_transform(dist, stream.generator().random(n)))
 
 
@@ -465,6 +475,6 @@ def theoretical_gim(dist, v, force_quadrature=False):
     (rate 1, scale 1 or meanlog 0): the scale never reaches the arithmetic,
     and a member whose moments leave the float range still has its value.
     """
-    dist = replace(dist, **dist._unit)
+    dist = dist._unit_member()
     e_max, e_min = theoretical_extremes(dist, v, force_quadrature=force_quadrature)
     return (e_max - e_min) / (e_max + e_min)

@@ -15,7 +15,8 @@ normal for both estimators.  This module provides:
   relative);
 * ``edf_numerator_variance`` — the asymptotic variance of the sqrt(n)-scaled
   plug-in numerator, evaluated by graded quadrature of its covariance
-  double integral.
+  double integral; its inner integral within a panel comes from the panel's
+  own nodes through the Gauss-Legendre integration matrix.
 
 The plug-in ratio variance carries no covariance correction between the
 numerator and denominator statistics, and measurably overstates the
@@ -316,11 +317,6 @@ def confidence_interval(point, ve, level=0.95):
     return replace(ve, level=level, ci_low=low, ci_high=high)
 
 
-# panels per block of the within-panel nested rule: its (block, 12, 12)
-# temporaries stay small however deep the ladder runs
-_NESTED_BLOCK = 128
-
-
 def _edf_numerator_variance_at(dist, v, levels):
     """Fixed-depth evaluation of the numerator covariance double integral.
 
@@ -333,29 +329,19 @@ def _edf_numerator_variance_at(dist, v, levels):
 
         2 v^2 * int_0^1 (1-w) Phi(w) [ int_0^w u Phi(u) du ] dw,
 
-    with Phi(u) = (u^(v-1) - (1-u)^(v-1)) * Q'(u).  Off-diagonal panel
-    pairs separate into products (one prefix accumulator), and only the
-    within-panel diagonal needs a nested rule.  Phi runs on whole mesh
-    arrays; the per-panel sums are accumulated in panel order by ``np.cumsum``.
+    with Phi(u) = (u^(v-1) - (1-u)^(v-1)) * Q'(u), evaluated once, on the
+    mesh.  Off-diagonal panel pairs separate into products (one prefix
+    accumulator); within a panel, :func:`~gimtools.quadrature.integration_matrix`
+    gives the inner integral from the panel's own nodes.  The per-panel sums
+    are accumulated in panel order by ``np.cumsum``.
     """
-    xi, wi = quadrature.unit_rule()
     m = quadrature.mesh(levels)
-
-    def phi(u, cu):
-        return (u ** (v - 1) - cu ** (v - 1)) * dist._qd(u, cu)
-
-    f = phi(m.u, m.cu)
-    # within-panel part: the inner integral up to node k restarts at the
-    # panel edge, on nodes [p, k, :] spanning width hk[p, k] = h[p] * xi[k]
-    inner = np.empty_like(f)
-    for start in range(0, f.shape[0], _NESTED_BLOCK):
-        rows = slice(start, start + _NESTED_BLOCK)
-        hk = m.h[rows, None] * xi
-        step = hk[:, :, None]
-        right = m.anchored_right[rows, None, None]
-        uu = np.where(right, m.u[rows, :, None] - step * (1.0 - xi), m.a[rows, None, None] + step * xi)
-        cuu = np.where(right, m.cu[rows, :, None] + step * (1.0 - xi), m.ca[rows, None, None] - step * xi)
-        inner[rows] = hk * np.sum(wi * uu * phi(uu, cuu), axis=2)
+    f = (m.u ** (v - 1) - m.cu ** (v - 1)) * dist._qd(m.u, m.cu)
+    g = m.u * f
+    # int of u Phi(u) du from the panel's left edge to each node, one
+    # matrix-vector product per panel: a matrix-matrix product over all
+    # panels rounds some rows differently from the per-panel product
+    inner = m.h[:, None] * (quadrature.integration_matrix() @ g[:, :, None])[:, :, 0]
     outer = m.w * m.cu * f
     # int_0^a u Phi(u) du over the panels before each one
     prefix = _running(np.sum(m.w * m.u * f, axis=1))[:-1]

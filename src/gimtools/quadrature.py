@@ -27,6 +27,10 @@ called once on those arrays.  ``np.cumsum`` adds the panel sums left to right
 in panel order (``np.sum`` adds pairwise), so every result is bit for bit what
 a loop over the panels gives: elementwise numpy arithmetic does not depend on
 the array's shape, and only the order of the additions could move the bits.
+
+:func:`integration_matrix` integrates a panel's interpolant from its left
+edge to each of its own nodes, so a partial-panel integral needs no second
+node set.  Every cached array is read-only.
 """
 
 from functools import lru_cache
@@ -42,11 +46,32 @@ GL_ORDER = 12
 MAX_LEVELS = 900
 
 
+def _frozen(*arrays):
+    """``arrays``, made read-only so that a cached copy cannot be written."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
 @lru_cache(maxsize=None)
 def unit_rule():
-    """Gauss-Legendre nodes/weights of order GL_ORDER mapped to (0, 1)."""
+    """Gauss-Legendre nodes/weights of order GL_ORDER mapped to (0, 1), read-only."""
     nodes, weights = np.polynomial.legendre.leggauss(GL_ORDER)
-    return (nodes + 1.0) / 2.0, weights / 2.0
+    return _frozen((nodes + 1.0) / 2.0, weights / 2.0)
+
+
+@lru_cache(maxsize=None)
+def integration_matrix():
+    """Read-only S, ``S[k, j]`` = int_0^xi[k] of node j's Lagrange basis polynomial.
+
+    For the node values g of a panel of width h, ``h * (S @ g)[k]`` integrates
+    their degree GL_ORDER - 1 interpolant from the panel's left edge to node k.
+    """
+    legendre = np.polynomial.legendre  # loaded on first use, not on import
+    nodes, _ = legendre.leggauss(GL_ORDER)
+    # column j: node j's basis polynomial in Legendre coefficients on (-1, 1)
+    basis = np.linalg.inv(legendre.legvander(nodes, GL_ORDER - 1))
+    return _frozen(legendre.legval(nodes, legendre.legint(basis, lbnd=-1)).T / 2.0)[0]
 
 
 def graded_panels(levels):
@@ -73,17 +98,14 @@ class Mesh(NamedTuple):
 
     ``u``, ``cu`` and ``w`` are ``(P, GL_ORDER)`` arrays, row p holding the
     nodes, complements and weights of panel p in :func:`graded_panels`
-    order; ``a``, ``ca``, ``h`` and ``anchored_right`` are that panel list
-    as ``(P,)`` vectors.  All arrays are read-only: the mesh is cached.
+    order; ``h`` holds the P panel widths.  All arrays are read-only: the
+    mesh is cached.
     """
 
     u: np.ndarray
     cu: np.ndarray
     w: np.ndarray
-    a: np.ndarray
-    ca: np.ndarray
     h: np.ndarray
-    anchored_right: np.ndarray
 
 
 # a ladder from depth 6 visits 9 depths; the bound caps the cache at a few
@@ -105,11 +127,7 @@ def mesh(levels):
     cu_right = (ca - h)[:, None] + h[:, None] * (1.0 - xi)
     cu = np.where(right, cu_right, ca[:, None] - hx)
     u = np.where(right, 1.0 - cu_right, a[:, None] + hx)
-    w = h[:, None] * wi
-    arrays = Mesh(u, cu, w, a, ca, h, anchored_right)
-    for array in arrays:
-        array.flags.writeable = False
-    return arrays
+    return Mesh(*_frozen(u, cu, h[:, None] * wi, h))
 
 
 def integrate_graded(f, levels):
@@ -135,8 +153,8 @@ def converge(evaluate, rtol):
     ----------
     evaluate : callable
         ``evaluate(levels)`` returns a float, or a tuple or array of floats
-        refined together; typically wraps :func:`integrate_graded` or a
-        nested scheme built on :func:`mesh`.  Each rung runs with
+        refined together; typically wraps :func:`integrate_graded` or
+        another evaluation on the arrays of :func:`mesh`.  Each rung runs with
         numpy overflow and invalid-value warnings silenced: a rung whose
         value is not finite raises instead.
     rtol : float

@@ -67,7 +67,8 @@ def run_cell(cell):
     """Run one Monte Carlo cell and summarize both estimators.
 
     Replications run in chunks of 512, in index order, on the calling
-    thread; replication r draws from the stream (cell.base_seed, r).
+    thread; replication r draws from the stream (cell.base_seed, r), through
+    the family's unit-scale member, since the estimates are scale-free.
 
     Parameters
     ----------
@@ -78,6 +79,7 @@ def run_cell(cell):
     SimResult
     """
     truth = theoretical_gim(cell.dist, cell.v)
+    unit = cell.dist._unit_member()
     weights = tuple(extreme_weights(kind, cell.n, cell.v) for kind in KINDS)
 
     reps = cell.replications
@@ -85,7 +87,7 @@ def run_cell(cell):
     for lo in range(0, reps, _CHUNK):
         hi = min(lo + _CHUNK, reps)
         uniforms = fill_stream_rows(np.empty((hi - lo, cell.n)), cell.base_seed, lo)
-        x = inverse_transform(cell.dist, uniforms)
+        x = inverse_transform(unit, uniforms)
         for est, (w_hi, w_lo) in zip(estimates, weights):
             e_max, e_min, _ = extreme_sums(x, w_hi, w_lo, cell.v)
             est[lo:hi] = gim_ratio(e_max, e_min)[0]

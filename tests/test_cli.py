@@ -226,6 +226,17 @@ def test_simulate_default_grid_small(capsys):
     assert len(out.strip().split("\n")) == 2 + 36
 
 
+def test_simulate_draws_past_the_float_range_fail_cleanly(tmp_path, capsys):
+    grid = tmp_path / "grid.ini"
+    grid.write_text("[lognormal]\nmeanlog = 0\nsdlog = 300\nn = 20\n")
+    assert main(["simulate", "--grid", str(grid)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "gim simulate: error: draws of Lognormal(meanlog=0;sdlog=300) leave the float range\n"
+    )
+
+
 def test_simulate_missing_grid_file(tmp_path, capsys):
     rc = main(["simulate", "--grid", str(tmp_path / "none.ini")])
     assert rc == 1

@@ -1,6 +1,7 @@
 """Parametric families: transforms, seeded sampling, theoretical values."""
 
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from gimtools import (
     InvalidArgument,
     InvalidProbability,
     Lognormal,
+    NonFinite,
     Pareto,
     SampleTooSmall,
     SeededStream,
@@ -295,6 +297,13 @@ def test_draw_sample_validates_n():
     for bad in (2.5, True):
         with pytest.raises(SampleTooSmall, match=f"sample size n must be a positive integer, got {bad!r}"):
             draw_sample(Exponential(1.0), bad, SeededStream(1, 0))
+
+
+@pytest.mark.parametrize("dist", [Exponential(1e-320), Pareto(3.0, 1e308), Lognormal(800.0, 1.0)], ids=repr)
+def test_draw_sample_past_the_float_range_raises(dist):
+    # under the suite's warning filter an overflow warning would fail first
+    with pytest.raises(NonFinite, match=f"draws of {re.escape(repr(dist))} leave the float range"):
+        draw_sample(dist, 100, SeededStream(1, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ from gimtools import (
 )
 from gimtools import quadrature
 from gimtools.distributions import _MIN_UNIFORM
-from gimtools.inference import _NESTED_BLOCK, _edf_numerator_variance_at
+from gimtools.inference import _edf_numerator_variance_at
 from gimtools.measures import _BLOCK, extreme_weights, gim_ratio, subset_weights
 
 
@@ -458,6 +459,56 @@ def test_sigma2_pareto_exact():
     assert_allclose(edf_numerator_variance(Pareto(3.0, 1.0), 2), 363.0 / 175.0, rtol=1e-6)
 
 
+def _pareto_sigma2_exact(shape, v):
+    """The numerator variance of Pareto(shape, 1) at order v, in exact rationals.
+
+    With c = 1 - u, Q'(u) = c^(-1-r)/shape for r = 1/shape, so Phi(u),
+    u Phi(u) and (1 - u) Phi(u) expand (binomially in u = 1 - c) into
+    finite sums of powers of c.  The inner integral from c(w) to 1 and then
+    the outer one from 0 to 1 are sums of 1/(exponent + 1) terms, each
+    finite for shape > 2.
+    """
+    r = 1 / Fraction(shape)
+    phi = {}  # exponent of c -> coefficient
+    for i in range(v):
+        phi[i - 1 - r] = phi.get(i - 1 - r, 0) + r * math.comb(v - 1, i) * (-1) ** i
+    phi[v - 2 - r] = phi.get(v - 2 - r, 0) - r
+    inner = {}  # u Phi = (1 - c) Phi
+    for e, a in phi.items():
+        inner[e] = inner.get(e, 0) + a
+        inner[e + 1] = inner.get(e + 1, 0) - a
+    total = Fraction(0)
+    for e_outer, b in phi.items():  # (1 - w) Phi(w) = c Phi: exponent e_outer + 1
+        for e, a in inner.items():
+            # int_0^1 c^(e_outer+1) * a (1 - c^(e+1)) / (e+1) dc
+            total += b * a / (e + 1) * (1 / (e_outer + 2) - 1 / (e_outer + e + 3))
+    return 2 * v * v * total
+
+
+# exact numerator variances: Pareto from _pareto_sigma2_exact; Exponential(1)
+# at v = 4 from v^2 Var(g(X)) with g(x) = int_0^x J(F(t)) dt, whose moments
+# under Exp(1) are sums of the rationals int x^k e^(-mx) dx = k!/m^(k+1)
+# (4/3 and 3 at v = 2 and 3 the same way); 32/7 also matches a 30-digit
+# quadrature of that form
+SIGMA2_ANCHORS = [
+    (Pareto(3.0, 1.0), 2, Fraction(363, 175)),
+    (Pareto(3.0, 1.0), 3, Fraction(3267, 700)),
+    (Pareto(3.0, 1.0), 4, Fraction(23331351, 2988700)),
+    (Pareto(2.5, 1.0), 2, Fraction(235, 33)),
+    (Pareto(2.5, 1.0), 3, Fraction(705, 44)),
+    (Pareto(2.5, 1.0), 4, Fraction(896072290, 32675643)),
+    (Exponential(1.0), 4, Fraction(32, 7)),
+]
+
+
+@pytest.mark.parametrize("dist, v, exact", SIGMA2_ANCHORS, ids=repr)
+def test_sigma2_exact_anchors(dist, v, exact):
+    if isinstance(dist, Pareto):
+        assert _pareto_sigma2_exact(dist.shape, v) == exact
+    got = edf_numerator_variance(dist, v)
+    assert abs(Fraction(got) - exact) <= 1e-9 * exact
+
+
 def test_sigma2_lognormal_regression():
     # no closed form; value frozen from two independent refinement ladders
     assert_allclose(edf_numerator_variance(Lognormal(0.0, 1.0), 2), 11.067264343667, rtol=1e-6)
@@ -483,13 +534,18 @@ def test_sigma2_heavy_tail_raises_without_numpy_warnings():
             edf_numerator_variance(Pareto(2.2, 1.0), 2)
 
 
-def _edf_numerator_variance_loop(dist, v, levels):
-    """Per-panel, per-node evaluation of the numerator covariance integral.
+# theory-profile's population variance tasks
+SIGMA2_DISTS = [Exponential(1.0), Pareto(3.0, 1.0), Pareto(2.5, 1.0), Lognormal(0.0, 0.5), Lognormal(0.0, 1.0)]
 
-    Test oracle for :func:`_edf_numerator_variance_at`, which evaluates the
-    same nodes on whole arrays and adds the same per-panel sums in the same
-    order, and so must match it bit for bit.  Panel p's outer nodes are row
-    p of the mesh, itself checked against a per-panel build.
+
+def _edf_numerator_variance_loop(dist, v, levels):
+    """The numerator covariance integral by a nested per-panel, per-node rule.
+
+    Accuracy oracle for :func:`_edf_numerator_variance_at`: each inner
+    integral, from the panel's left edge to node k, is a Gauss-Legendre rule
+    of its own on fresh nodes (placed with the node-anchoring rule of
+    :func:`~gimtools.quadrature.mesh`) instead of the integration matrix on
+    the panel's nodes.  Panel p's outer nodes are row p of the mesh.
     """
     xi, wi = quadrature.unit_rule()
     m = quadrature.mesh(levels)
@@ -520,21 +576,45 @@ def _edf_numerator_variance_loop(dist, v, levels):
     return v * v * (off_diagonal + diagonal)
 
 
-@pytest.mark.parametrize(
-    "dist",
-    [Exponential(1.0), Pareto(3.0, 1.0), Pareto(2.5, 1.0), Lognormal(0.0, 0.5), Lognormal(0.0, 1.0)],
-    ids=repr,
-)
+def _edf_numerator_variance_matrix_loop(dist, v, levels):
+    """Per-panel evaluation of the integration-matrix rule.
+
+    Test oracle for :func:`_edf_numerator_variance_at`, which evaluates the
+    same nodes on whole arrays, applies the integration matrix to each
+    panel's row alone and adds the same per-panel sums in the same order,
+    and so must match it bit for bit.
+    """
+    s = quadrature.integration_matrix()
+    m = quadrature.mesh(levels)
+    off_diagonal = 0.0
+    diagonal = 0.0
+    prefix = 0.0
+    for u, cu, w, h in zip(*m):
+        f = (u ** (v - 1) - cu ** (v - 1)) * dist._qd(u, cu)
+        off_diagonal += 2.0 * float(np.sum(w * cu * f)) * prefix
+        inner = h * (s @ (u * f))
+        diagonal += 2.0 * float(np.sum(w * cu * f * inner))
+        prefix += float(np.sum(w * u * f))
+    return v * v * (off_diagonal + diagonal)
+
+
+@pytest.mark.parametrize("dist", SIGMA2_DISTS, ids=repr)
 @pytest.mark.parametrize("v", [2, 3, 4])
 def test_sigma2_rung_bit_identical_to_panel_loop(dist, v):
-    """Every rung up to depth 384 (768 panels, six nested blocks)."""
-    depths = [6 * 2**k for k in range(7)]
-    assert 2 * depths[-1] > 5 * _NESTED_BLOCK  # several block boundaries
+    """Every rung up to depth 384 (768 panels)."""
     # converge evaluates every rung with these numpy warnings silenced
     with np.errstate(over="ignore", invalid="ignore"):
-        for levels in depths:
+        for levels in [6 * 2**k for k in range(7)]:
             got = _edf_numerator_variance_at(dist, v, levels)
-            assert got == _edf_numerator_variance_loop(dist, v, levels)
+            assert got == _edf_numerator_variance_matrix_loop(dist, v, levels)
+
+
+@pytest.mark.parametrize("dist", SIGMA2_DISTS, ids=repr)
+@pytest.mark.parametrize("v", [2, 3, 4])
+def test_sigma2_matches_nested_rule(dist, v):
+    """The converged value agrees with the nested rule's own ladder."""
+    nested = quadrature.converge(lambda levels: _edf_numerator_variance_loop(dist, v, levels), rtol=1e-6)
+    assert_allclose(edf_numerator_variance(dist, v), nested, rtol=1e-9, atol=0.0)
 
 
 def test_sigma2_matches_monte_carlo():

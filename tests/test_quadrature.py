@@ -11,6 +11,7 @@ from gimtools.quadrature import (
     converge,
     graded_panels,
     integrate_graded,
+    integration_matrix,
     mesh,
     unit_rule,
 )
@@ -54,6 +55,31 @@ def test_unit_rule_integrates_polynomials_exactly():
         assert_allclose(np.sum(w * x**k), 1.0 / (k + 1), rtol=1e-13)
 
 
+def test_unit_rule_is_cached_and_read_only():
+    assert unit_rule() is unit_rule()
+    for array in unit_rule():
+        assert not array.flags.writeable
+    with pytest.raises(ValueError):
+        unit_rule()[0][0] = 0.5
+
+
+def test_integration_matrix_integrates_the_interpolant_exactly():
+    """S @ xi**p is the integral from 0 to xi of t**p, up to degree GL_ORDER - 1."""
+    s = integration_matrix()
+    xi, _ = unit_rule()
+    assert s.shape == (GL_ORDER, GL_ORDER)
+    for p in range(GL_ORDER):
+        assert np.max(np.abs(s @ xi**p - xi ** (p + 1) / (p + 1))) <= 1e-15
+
+
+def test_integration_matrix_is_cached_and_read_only():
+    s = integration_matrix()
+    assert integration_matrix() is s
+    assert not s.flags.writeable
+    with pytest.raises(ValueError):
+        s[0, 0] = 0.5
+
+
 def test_graded_panels_tile_the_unit_interval():
     panels = graded_panels(8)
     widths = [w for (_, _, w, _) in panels]
@@ -77,8 +103,8 @@ def test_graded_panels_reject_a_non_integer_depth():
 def test_graded_panels_complements_are_exact():
     """Panels hugging u=1 carry the complement exactly, not via 1.0 - left."""
     m = mesh(80)
-    left, left_c, width, anchored = m.a[-1], m.ca[-1], m.h[-1], m.anchored_right[-1]
-    assert anchored
+    left, left_c, width, anchored = graded_panels(80)[-1]
+    assert anchored and m.h[-1] == width
     assert left_c == 2.0**-80
     assert left == 1.0  # the rounded sum is useless this deep; cu must not use it
     u, cu = m.u[-1], m.cu[-1]
@@ -92,7 +118,7 @@ def test_mesh_rows_are_the_panels_node_by_node(levels):
     panels = graded_panels(levels)
     assert m.u.shape == m.cu.shape == m.w.shape == (len(panels), GL_ORDER)
     for p, panel in enumerate(panels):
-        assert (m.a[p], m.ca[p], m.h[p], m.anchored_right[p]) == panel
+        assert m.h[p] == panel[2]
         u, cu, w = _panel_nodes_loop(panel)
         assert m.u[p].tobytes() == u.tobytes()
         assert m.cu[p].tobytes() == cu.tobytes()

@@ -314,3 +314,20 @@ def test_emit_table_rejects_bad_format_and_empty():
         emit_table(small_results(), format="tsv")
     with pytest.raises(EmptyGrid):
         emit_table([], format="csv")
+
+
+@pytest.mark.parametrize(
+    "family, name, extreme, unit",
+    [("exponential", "rate", "1e-320", "1"), ("pareto", "scale", "1e308", "1"),
+     ("lognormal", "meanlog", "800", "0")],
+)
+def test_scale_never_reaches_the_draws(tmp_path, family, name, extreme, unit):
+    """A member at the edge of the float range gives the unit-scale rows, params aside."""
+    tables = []
+    for value in (extreme, unit):
+        grid = tmp_path / f"{value}.ini"
+        grid.write_text(f"[run]\nreplications = 300\nseed = 3\n\n[{family}]\n{name} = {value}\nn = 20 60\nv = 2 3\n")
+        tables.append([row.split(",") for row in emit_table(run_grid(load_grid_config(grid))).splitlines()])
+    assert len(tables[0]) == len(tables[1]) == 9
+    for row, unit_row in zip(*tables):
+        assert row[:1] + row[2:] == unit_row[:1] + unit_row[2:]
