@@ -4,7 +4,7 @@ Population values: closed forms against quadrature
 
 For the three built-in families the population GIM(v) has closed forms
 built from extreme-value moments (harmonic numbers for the exponential,
-an inclusion-exclusion sum for the Pareto, a normal-cdf expression for
+a product of Pareto means for the Pareto, a normal-cdf expression for
 the lognormal pair).  The library can also ignore the closed forms and
 integrate the quantile function on a graded panel mesh; the two routes
 agreeing is the cheapest full-stack check there is.

@@ -139,6 +139,10 @@ class Distribution:
         """The family's member at unit scale (rate 1, scale 1 or meanlog 0), same shape."""
         return replace(self, **self._unit)
 
+    def _theory_member(self):
+        """The member whose moments :func:`theoretical_gim` evaluates; the unit-scale one."""
+        return self._unit_member()
+
     def params_label(self):
         """Short deterministic ``key=value`` string for tables and CSV."""
         return ";".join(f"{f.name}={getattr(self, f.name):g}" for f in fields(self))
@@ -219,10 +223,10 @@ class Pareto(Distribution):
     def mean(self):
         return self.shape * self.scale / (self.shape - 1.0)
 
-    # inclusion-exclusion is an alternating sum; past this order its
-    # cancellation costs more than 1e-11 relative in GIM (first at v = 19,
-    # shapes 8 and 20, against exact rational arithmetic) while quadrature
-    # stays within 1e-14, so quadrature takes over
+    # the product below has no cancellation at any order.  Quadrature takes
+    # over past this one for a single reason: perfbench/tests/test_spans.py
+    # needs theoretical_gim(Pareto(3, 1), 40) to run the quadrature ladder.
+    # ROADMAP item 1 removes the cap and moves that op to the lognormal
     _CLOSED_FORM_MAX_ORDER = 18
 
     def _closed_extremes(self, v):
@@ -230,10 +234,11 @@ class Pareto(Distribution):
         e_min = xm * v * a / (v * a - 1.0)  # min of v is Pareto with shape v*a
         if v > self._CLOSED_FORM_MAX_ORDER:
             return None
-        # P(max <= x) = (1 - (xm/x)^a)^v; expand and integrate term by term
-        e_max = 0.0
-        for k in range(1, v + 1):
-            e_max += math.comb(v, k) * (-1.0) ** (k + 1) * xm * k * a / (k * a - 1.0)
+        # the max of v is the scale times independent Pareto(k*a, 1) factors,
+        # k = 1..v (log X is exponential, and so Renyi's representation of
+        # its order statistics applies); the k = v factor times the scale is
+        # the min.  Every factor exceeds 1, so nothing cancels
+        e_max = math.prod((k * a / (k * a - 1.0) for k in range(1, v)), start=e_min)
         return e_max, e_min
 
 
@@ -391,6 +396,15 @@ class Lognormal(Distribution):
         except OverflowError:  # past the float range
             return math.inf
 
+    def _theory_member(self):
+        # the member with mean 1 (meanlog -sdlog^2/2): its moments stay in the
+        # float range where exp(sdlog^2/2) overflows (sdlog past 37.7), and
+        # its quantile keeps the deep quadrature panels finite further out
+        meanlog = -0.5 * self.sdlog * self.sdlog
+        if meanlog == -math.inf:
+            raise InvalidArgument(f"population values of {self!r} need sdlog^2 inside the float range")
+        return replace(self, meanlog=meanlog)
+
     def _closed_extremes(self, v):
         if v == 1:
             return self.mean(), self.mean()
@@ -471,10 +485,11 @@ def theoretical_extremes(dist, v, force_quadrature=False):
 def theoretical_gim(dist, v, force_quadrature=False):
     """Theoretical GIM(v) = (E max_v - E min_v)/(E max_v + E min_v).
 
-    GIM is scale-free, so it is evaluated on the family's unit-scale member
-    (rate 1, scale 1 or meanlog 0): the scale never reaches the arithmetic,
-    and a member whose moments leave the float range still has its value.
+    GIM is scale-free, so it is evaluated on one fixed member of the family
+    (rate 1, scale 1, or the lognormal with mean 1): the scale never reaches
+    the arithmetic, and a member whose moments leave the float range still
+    has its value.
     """
-    dist = dist._unit_member()
+    dist = dist._theory_member()
     e_max, e_min = theoretical_extremes(dist, v, force_quadrature=force_quadrature)
     return (e_max - e_min) / (e_max + e_min)

@@ -10,9 +10,9 @@ normal for both estimators.  This module provides:
 * ``jackknife_variance`` — exact delete-1 jackknife for either estimator
   (method tag ``"jackknife"``), computed in O(n) with prefix/suffix sums;
 * ``confidence_interval`` — normal-approximation intervals clamped to [0, 1],
-  with the normal quantile from :class:`statistics.NormalDist` (scipy is not
-  loaded; the quantile agrees with ``scipy.special.ndtri`` to about 1e-15
-  relative);
+  with z from the library's own Cephes ``ndtri`` port at the lower tail
+  (1 - level)/2, which carries no rounding for level >= 1/2 (scipy is not
+  loaded);
 * ``edf_numerator_variance`` — the asymptotic variance of the sqrt(n)-scaled
   plug-in numerator, evaluated by graded quadrature of its covariance
   double integral; its inner integral within a panel comes from the panel's
@@ -35,11 +35,11 @@ sequential ``np.cumsum``.
 
 import math
 from dataclasses import dataclass, replace
-from statistics import NormalDist
 
 import numpy as np
 
 from . import quadrature
+from .distributions import _ndtri_lower
 from .errors import InvalidArgument, InvalidLevel, InvalidStdError, SampleTooSmall, ZeroMean
 from .measures import (_BLOCK, _check_order, _powers, _unscale, _ustat_sums, extreme_sums,
                        extreme_weights, gim_ratio)
@@ -299,7 +299,8 @@ def confidence_interval(point, ve, level=0.95):
 
     Returns a copy of ``ve`` with ``level``, ``ci_low`` and ``ci_high``
     filled: point -/+ z * std_error with z the (1+level)/2 standard normal
-    quantile, clamped to [0, 1] since the measure lives there.  A ``point``
+    quantile, taken as minus the (1-level)/2 one so that the tail stays
+    exact, clamped to [0, 1] since the measure lives there.  A ``point``
     outside [0, 1] (NaN included) raises InvalidArgument, a level outside
     (0, 1) InvalidLevel, and a NaN, infinite or negative ``std_error``
     InvalidStdError.
@@ -311,7 +312,7 @@ def confidence_interval(point, ve, level=0.95):
         raise InvalidStdError(
             f"std_error must be finite and non-negative, got {ve.std_error!r}"
         )
-    z = NormalDist().inv_cdf((1.0 + level) / 2.0)
+    z = -float(_ndtri_lower((1.0 - level) / 2.0))
     low = min(max(point - z * ve.std_error, 0.0), 1.0)
     high = min(max(point + z * ve.std_error, 0.0), 1.0)
     return replace(ve, level=level, ci_low=low, ci_high=high)

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import math
 import subprocess
 import sys
 
@@ -121,6 +122,16 @@ def test_report_csv(fixture_csv, capsys):
     assert float(cells[4]) <= float(cells[3]) <= float(cells[5])
 
 
+def test_report_ci_next_to_one(fixture_csv, capsys):
+    # 1 - 2**-53: the largest level below 1
+    rc = main(["report", "--input", str(fixture_csv), "--v", "2", "--ci", "0.9999999999999999",
+               "--format", "csv"])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    cells = captured.out.strip().split("\n")[1].split(",")
+    assert 0.0 <= float(cells[4]) <= float(cells[3]) <= float(cells[5]) <= 1.0
+
+
 def test_report_csv_quotes_label_with_comma(fixture_csv, capsys):
     rc = main(
         ["report", "--input", str(fixture_csv), "--v", "2,3", "--format", "csv",
@@ -235,6 +246,18 @@ def test_simulate_draws_past_the_float_range_fail_cleanly(tmp_path, capsys):
     assert captured.err == (
         "gim simulate: error: draws of Lognormal(meanlog=0;sdlog=300) leave the float range\n"
     )
+
+
+def test_simulate_lognormal_past_the_mean_overflow_prints_finite_rows(tmp_path, capsys):
+    # the mean exp(38**2 / 2) overflows, the unit-scale draws exp(38 z) do not
+    grid = tmp_path / "grid.ini"
+    grid.write_text("[run]\nreplications = 30\nseed = 3\n\n[lognormal]\nsdlog = 38\nn = 20\nv = 2\n")
+    assert main(["simulate", "--grid", str(grid), "--format", "csv"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 2  # one per estimator
+    for row in rows:
+        assert float(row["truth"]) == 1.0
+        assert all(math.isfinite(float(row[key])) for key in ("bias", "mse", "mc_se"))
 
 
 def test_simulate_missing_grid_file(tmp_path, capsys):

@@ -20,6 +20,7 @@ from gimtools import (
     Lognormal,
     NonFinite,
     Pareto,
+    QuadratureNoConvergence,
     SampleTooSmall,
     SeededStream,
     draw_sample,
@@ -356,10 +357,10 @@ def _pareto_gim_exact(shape, v):
 
 @pytest.mark.parametrize("shape", [1.2, 1.5, 2.2, 3.0, 5.0, 8.0, 10.0, 20.0])
 def test_pareto_gim_matches_exact_rationals(shape):
-    """The float closed form cancels badly past v = 18; quadrature takes over."""
+    """The float product form up to v = 18, quadrature past it: both near 1e-14."""
     for v in range(2, 31):
         exact = _pareto_gim_exact(shape, v)
-        assert abs(Fraction(theoretical_gim(Pareto(shape, 1.0), v)) - exact) <= 1e-11 * exact
+        assert abs(Fraction(theoretical_gim(Pareto(shape, 1.0), v)) - exact) <= 2e-14 * exact
 
 
 def test_lognormal_extremes_closed_vs_quadrature_v2():
@@ -432,6 +433,35 @@ def test_theoretical_gim_never_sees_the_scale(dist, unit):
         warnings.simplefilter("error")
         for v in (2, 3, 5):
             assert theoretical_gim(dist, v) == theoretical_gim(unit, v)
+
+
+@pytest.mark.parametrize("sdlog", [38.0, 300.0])
+def test_lognormal_gini_is_one_where_the_mean_overflows(sdlog):
+    # 2 Phi(sdlog / sqrt 2) - 1 rounds to 1; the member with mean 1 keeps
+    # the closed form's moments in the float range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert theoretical_gim(Lognormal(0.0, sdlog), 2) == 1.0
+
+
+@pytest.mark.parametrize("sdlog", [22.0, 25.0])
+def test_lognormal_quadrature_converges_at_large_sdlog(sdlog):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = [theoretical_gim(Lognormal(0.0, sdlog), v) for v in (3, 4, 12)]
+    assert all(0.999 < value <= 1.0 for value in values)
+
+
+def test_lognormal_quadrature_past_its_range_raises_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureNoConvergence):
+            theoretical_gim(Lognormal(0.0, 30.0), 3)
+
+
+def test_lognormal_population_value_needs_sdlog_squared_in_range():
+    with pytest.raises(InvalidArgument, match="need sdlog\\^2 inside the float range"):
+        theoretical_gim(Lognormal(0.0, 1e200), 2)
 
 
 def test_lognormal_mean_is_inf_past_the_float_range():

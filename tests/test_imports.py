@@ -1,7 +1,10 @@
 """Import discipline: no gimtools path loads scipy, Lognormal included.
 
-The test process already holds scipy, so the check runs in a fresh
-interpreter that asserts ``'scipy' not in sys.modules`` after each step.
+Nor does any path load ``statistics``, ``fractions`` or ``decimal``: the
+normal quantile behind intervals is the library's own, and those modules
+would add several milliseconds to every cold ``import gimtools``.  The test
+process already holds scipy and fractions, so the check runs in a fresh
+interpreter that asserts none of them is in ``sys.modules`` after each step.
 """
 
 import os
@@ -17,7 +20,8 @@ SCRIPT = textwrap.dedent(
     import sys
 
     def clean(step):
-        assert "scipy" not in sys.modules, f"scipy loaded by {step}"
+        for name in ("scipy", "statistics", "fractions", "decimal"):
+            assert name not in sys.modules, f"{name} loaded by {step}"
 
     import gimtools
     clean("import gimtools")

@@ -438,7 +438,19 @@ def test_confidence_interval_z_matches_ndtri():
     ve = VarianceEstimate(variance=2.0**-6, method="jackknife", std_error=2.0**-3)
     levels = np.linspace(0.001, 0.999, 999)
     z = np.array([confidence_interval(0.0, ve, float(level)).ci_high * 8.0 for level in levels])
-    assert_allclose(z, ndtri((1.0 + levels) / 2.0), rtol=2e-15, atol=0.0)
+    # the lower tail (1 - level)/2 is exact for level >= 1/2, where the upper
+    # one, (1 + level)/2, is rounded before the quantile sees it
+    assert_allclose(z, -ndtri((1.0 - levels) / 2.0), rtol=2e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("level", [1.0 - 2.0**-52, 1.0 - 2.0**-53])
+def test_confidence_interval_at_levels_next_to_one(level):
+    ve = VarianceEstimate(variance=2.0**-8, method="jackknife", std_error=2.0**-4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = confidence_interval(0.0, ve, level)
+    assert out.ci_low == 0.0
+    assert_allclose(out.ci_high * 16.0, -ndtri((1.0 - level) / 2.0), rtol=2e-15)
 
 
 # ---------------------------------------------------------------------------
