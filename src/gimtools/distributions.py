@@ -401,6 +401,8 @@ class Lognormal(Distribution):
         # float range where exp(sdlog^2/2) overflows (sdlog past 37.7), and
         # its quantile keeps the deep quadrature panels finite further out
         meanlog = -0.5 * self.sdlog * self.sdlog
+        # replace() would reject meanlog -inf too, but its message names a
+        # meanlog the caller never gave; this one names the sdlog at fault
         if meanlog == -math.inf:
             raise InvalidArgument(f"population values of {self!r} need sdlog^2 inside the float range")
         return replace(self, meanlog=meanlog)

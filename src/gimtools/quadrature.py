@@ -172,8 +172,8 @@ def converge(evaluate, rtol):
     QuadratureNoConvergence
         If a rung's value is not finite, or the ladder is exhausted without
         two successive values agreeing; the message names the grading
-        depth reached and the last two values.  Agreement only counts
-        between *distinct* meshes: once the depth cap is reached the mesh
+        depth reached and the last two values.  An all-zero value agrees
+        with no other.  Agreement only counts between *distinct* meshes: once the depth cap is reached the mesh
         stops changing, and comparing a mesh to itself would declare
         convergence for any integrand, however hostile.
     """
@@ -189,8 +189,11 @@ def converge(evaluate, rtol):
             reason = "non-finite value"
             break
         if len(values) > 1:
+            scale = np.max(np.abs(current))
             change = np.max(np.abs(np.subtract(current, values[-2])))
-            if change <= rtol * max(np.max(np.abs(current)), 1e-300):
+            # a zero value agrees with nothing: it is an integrand that
+            # underflowed at every node, not a converged integral
+            if scale > 0 and change <= rtol * scale:
                 return current
         levels *= 2
         if min(levels, MAX_LEVELS) <= depth:

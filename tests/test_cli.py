@@ -260,6 +260,17 @@ def test_simulate_lognormal_past_the_mean_overflow_prints_finite_rows(tmp_path, 
         assert all(math.isfinite(float(row[key])) for key in ("bias", "mse", "mc_se"))
 
 
+def test_simulate_lognormal_past_the_quadrature_range_fails_cleanly(tmp_path, capsys):
+    # the draws exp(50 z) stay finite; the v = 3 population value does not converge
+    grid = tmp_path / "grid.ini"
+    grid.write_text("[run]\nreplications = 30\nseed = 3\n\n[lognormal]\nsdlog = 50\nn = 20\nv = 3\n")
+    assert main(["simulate", "--grid", str(grid)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("gim simulate: error: no convergence to rtol=1e-08")
+    assert captured.err.count("\n") == 1
+
+
 def test_simulate_missing_grid_file(tmp_path, capsys):
     rc = main(["simulate", "--grid", str(tmp_path / "none.ini")])
     assert rc == 1

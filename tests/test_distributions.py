@@ -452,11 +452,14 @@ def test_lognormal_quadrature_converges_at_large_sdlog(sdlog):
     assert all(0.999 < value <= 1.0 for value in values)
 
 
-def test_lognormal_quadrature_past_its_range_raises_without_warning():
+@pytest.mark.parametrize("sdlog", [30.0, 50.0, 300.0])
+def test_lognormal_quadrature_past_its_range_raises_without_warning(sdlog):
+    # from sdlog 45 on, exp(-sdlog^2 / 2 + sdlog z) underflows to 0 at every
+    # node of the first rungs; two zero rungs must not read as converged
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(QuadratureNoConvergence):
-            theoretical_gim(Lognormal(0.0, 30.0), 3)
+            theoretical_gim(Lognormal(0.0, sdlog), 3)
 
 
 def test_lognormal_population_value_needs_sdlog_squared_in_range():

@@ -243,6 +243,12 @@ def test_converge_raises_on_non_finite_rung():
         converge(evaluate, rtol=1e-12)
 
 
+def test_converge_never_accepts_an_all_zero_value():
+    # an integrand that underflows at every node reads 0 on every rung
+    with pytest.raises(QuadratureNoConvergence, match=r"no convergence .* depth 900"):
+        converge(lambda levels: np.zeros(2), rtol=1e-8)
+
+
 def test_converge_message_names_depth_and_last_values():
     # the ladder runs 6, 12, ..., 768, then 1536 capped at depth 900
     with pytest.raises(QuadratureNoConvergence, match=r"grading depth 900; last two values: \[768.0, 900.0\]"):
