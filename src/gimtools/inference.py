@@ -25,12 +25,16 @@ tracks the true sampling variance closely and is the recommended default.
 Both are reported so the two can be compared side by side.
 
 The jackknife's prefix and suffix sums are sequential running sums over the
-whole sample, swept block by block (``measures._BLOCK`` positions at a time)
-so that each numpy pass works on operands that stay in cache.  The carry
-rule makes the blocks invisible: the running total of one block is added
-into the next block's first term before its scan, which repeats the single
-scan's additions in the same order, so every sum is bit for bit that of one
-sequential ``np.cumsum``.
+whole sample, swept block by block (``measures._BLOCK`` positions at a time,
+blocks counted from the top) so that each numpy pass works on operands that
+stay in cache.  The carry rule makes the blocks invisible: the running total
+of one block is added into the next block's first term before its scan,
+which repeats the single scan's additions in the same order, so every sum is
+bit for bit that of one sequential ``np.cumsum`` whatever the blocking.
+Beside the weights, the jackknife holds one length-n array, the one it
+returns: the sample is scaled a block at a time, and the min side keeps only
+its carried total below each block, from which the block's prefix sums are
+rebuilt when the descending sweep reaches it.
 """
 
 import math
@@ -169,11 +173,18 @@ def leave_one_out(s, v, kind="ustat"):
     maximum cannot underflow to zero.
 
     The prefix sums come from an ascending sweep and the suffix sums from
-    a descending one, each over blocks of ``measures._BLOCK`` positions
-    with the running total carried into the next block's first term: bit
-    for bit the values of one sequential ``np.cumsum`` per side.  The
-    descending sweep adds each block's suffix sums in and forms that
-    block's ratios while the block is still in cache.
+    a descending one, both over the same blocks of ``measures._BLOCK``
+    positions counted from the top, with the running total carried into
+    the next block's first term: bit for bit the values of one sequential
+    ``np.cumsum`` per side.  Each block of the sample is scaled into a
+    buffer one value longer than the block.  The max side's prefix sums go
+    into the returned array; the min side keeps only its running total
+    below each block, and the descending sweep rebuilds that block's prefix
+    sums from it with the same multiply, carry and accumulate (the top
+    block's are still in the buffers).  The descending sweep then adds the
+    block's suffix sums in and forms its ratios while the block is still in
+    cache.  Beside the weights, the returned array is the only length-n
+    allocation.
 
     A deletion that leaves a constant sample (any deletion from a constant
     sample, or deleting the one value that differs from the rest at either
@@ -206,54 +217,87 @@ def leave_one_out(s, v, kind="ustat"):
     if values[0] == values[-1]:
         # every deletion leaves the same constant sample: estimate it once
         return np.full(n, estimate(values[:m]))
-    x, _ = s.scaled()
-    # e_max[k], e_min[k]: the moment sums with sorted observation k deleted
-    e_max, e_min = np.empty(n), np.empty(n)
-    e_max[0] = e_min[0] = 0.0
-    sides = ((e_max, w_hi), (e_min, w_lo[::-1]))  # weights bottom-up, like the sample
-    for start in range(0, m, _BLOCK):  # weight j at position j, for j < k
-        stop = min(start + _BLOCK, m)
-        for sums, w in sides:
-            t = np.multiply(w[start:stop], x[start:stop], out=sums[start + 1:stop + 1])
-            if start:
-                t[0] += sums[start]
-            np.add.accumulate(t, out=t)
-    block = np.empty(min(m, _BLOCK) + 1)
-    exponent = math.frexp(values[m - 1])[1]
-    if exponent != math.frexp(values[m])[1]:
+    w_up = w_lo[::-1]  # the min side's weights bottom-up, like the sample
+    exponent = math.frexp(values[m])[1]
+    size = min(m, _BLOCK)
+    # one block of the scaled sample and the value above it; the min side's
+    # sums for one block of deletions; scratch for suffix sums and ratios
+    x, low, scratch = np.empty(size + 1), np.empty(size + 1), np.empty(size + 1)
+
+    def scale(start, stop):
+        np.ldexp(values[start:stop + 1], -exponent, out=x[:stop - start + 1])
+
+    def prefix(w, start, stop, carry, sums):
+        # sums[i] = carry + the sum of w[j] times scaled value j, start <= j <= start + i
+        t = np.multiply(w[start:stop], x[:stop - start], out=sums)
+        if start:
+            t[0] += carry
+        return np.add.accumulate(t, out=t)[-1]
+
+    def suffix(w, start, stop, carry, sums):
+        # adds to sums[i] the sum of w[j] times scaled value j + 1, start + i <= j < m
+        t = np.multiply(w[start:stop], x[1:stop - start + 1], out=scratch[:stop - start])
+        if stop < m:
+            t[-1] += carry
+        np.add.accumulate(t[::-1], out=t[::-1])
+        np.add(sums, t, out=sums)
+        return t[0]
+
+    # Blocks of deletions counted from the top.  out[k] holds the max side's
+    # sum with sorted observation k deleted, first its prefix (weight j at
+    # position j, for j < k), then with its suffix (weight j at position
+    # j+1, for j >= k) added in.  The min side keeps only its running total
+    # below each block, from which the descending sweep rebuilds the block's
+    # prefix sums with the same additions.
+    stops = range(m, 0, -_BLOCK)
+    below = []
+    out = np.empty(n)
+    out[0] = carry = 0.0
+    for stop in reversed(stops):  # ascending
+        start = max(stop - _BLOCK, 0)
+        scale(start, stop)
+        prefix(w_hi, start, stop, out[start], out[start + 1:stop + 1])
+        below.append(carry)
+        carry = prefix(w_up, start, stop, carry, low[1:stop - start + 1])
+    # x and low still hold the top block: low[size] is the top deletion's
+    # min-side sum, out[m] its max-side sum
+    top = math.frexp(values[m - 1])[1]
+    if top != exponent:
         # Deleting the maximum leaves the n-1 smallest values: sum them again
         # at their own scale, in the same running order and with the same
         # carry rule, a block at a time.  In the maximum's binade that scaled
-        # copy is x[:m] itself, whose sums are already in e_max[m] and e_min[m].
-        for sums, w in sides:
-            for start in range(0, m, _BLOCK):
-                stop = min(start + _BLOCK, m)
-                t = np.ldexp(values[start:stop], -exponent, out=block[:stop - start])
+        # copy is x[:m] itself, whose sums are already in out[m] and low[size].
+        def resum(w):
+            total = 0.0
+            for stop in reversed(stops):
+                start = max(stop - _BLOCK, 0)
+                t = np.ldexp(values[start:stop], -top, out=scratch[:stop - start])
                 t *= w[start:stop]
                 if start:
-                    t[0] += sums[m]
-                sums[m] = np.add.accumulate(t, out=t)[-1]
-    carry = [0.0, 0.0]
-    for stop in range(m, 0, -_BLOCK):  # weight j at position j+1, for j >= k: from the top
+                    t[0] += total
+                total = np.add.accumulate(t, out=t)[-1]
+            return total
+
+        out[m], low[size] = resum(w_hi), resum(w_up)
+    carry_hi = carry_lo = 0.0
+    for stop, base in zip(stops, reversed(below)):  # descending
         start = max(stop - _BLOCK, 0)
-        t = block[:stop - start]
-        for side, (sums, w) in enumerate(sides):
-            np.multiply(w[start:stop], x[start + 1:stop + 1], out=t)
-            if stop < m:
-                t[-1] += carry[side]
-            np.add.accumulate(t[::-1], out=t[::-1])
-            carry[side] = t[0]
-            np.add(sums[start:stop], t, out=sums[start:stop])
-        # these deletions' sums (and in the first block the top deletion's)
-        # are complete: gim_ratio on them in place, into e_max
-        end = stop + 1 if stop == m else stop
-        hi, lo = e_max[start:end], e_min[start:end]
-        denominator = np.add(hi, lo, out=block[:end - start])
+        width = stop - start
+        if stop < m:  # the top block's scaled values and min-side sums are in place
+            scale(start, stop)
+            prefix(w_up, start, stop, base, low[1:width + 1])
+        low[0] = base
+        carry_hi = suffix(w_hi, start, stop, carry_hi, out[start:stop])
+        carry_lo = suffix(w_up, start, stop, carry_lo, low[:width])
+        # these deletions' sums (and in the top block the top deletion's)
+        # are complete: gim_ratio on them in place, into out
+        end = width + 1 if stop == m else width
+        hi, lo = out[start:start + end], low[:end]
+        denominator = np.add(hi, lo, out=scratch[:end])
         if (denominator == 0.0).any():
             raise ZeroMean("GIM undefined for an all-zero sample")
         np.maximum(np.subtract(hi, lo, out=hi), 0.0, out=hi)
         np.divide(hi, denominator, out=hi)
-    out = e_max
     # the only deletions that can leave a constant sample
     if values[1] == values[-1]:
         out[0] = estimate(values[1:])

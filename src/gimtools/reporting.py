@@ -41,14 +41,16 @@ def ingest_csv(path, column=0, delimiter=",", has_header=True):
     The file is decoded once, as UTF-8: a leading byte-order mark is dropped,
     and an undecodable byte reads as a lone surrogate, which passes in another
     column and is a :class:`ParseError` in the income column.  ``np.loadtxt``
-    parses the body in blocks of 64 KiB.  From the first block holding
-    anything the block reader does not vouch for (quotes, a lone carriage
-    return, blank or whitespace cells other than a last-column income cell,
-    text, NaN, infinities, negatives, short rows, over-long fields) a
-    ``csv.reader`` loop reads on to the end of the file, after the values
-    already parsed.  Both readers give the same values, skipped count and
-    errors; only the ``csv.reader`` loop raises, so every error carries its
-    line number.
+    parses the body in blocks of 64 KiB.  A block holding anything the block
+    reader does not vouch for (quotes, a lone carriage return, blank or
+    whitespace cells other than a last-column income cell, text, NaN,
+    infinities, negatives, short rows, over-long fields) goes to a
+    ``csv.reader`` loop instead.  Without a quote the block ends at a record
+    boundary, so the loop reads that block alone and the next block goes
+    back to ``np.loadtxt``; from a block with a quote, the loop reads on to
+    the end of the file.  Both readers give the same values, skipped count
+    and errors; only the ``csv.reader`` loop raises, so every error carries
+    its line number.
 
     Parameters
     ----------
@@ -91,10 +93,16 @@ def ingest_csv(path, column=0, delimiter=",", has_header=True):
         values, count, skipped = np.empty(0), 0, 0
         while text := handle.read(_BLOCK) + handle.readline():
             parsed = _parse_block(text, delimiter, index)
-            if parsed is None:  # csv.reader reads this block and the rest of the file
-                rows = itertools.chain(io.StringIO(text, newline=""), handle)
-                rest, blanks = _read_rows(csv.reader(rows, delimiter=delimiter), index, line)
-                parsed = np.array(rest, dtype=float), blanks, 0
+            if parsed is None:
+                # csv.reader reads this block; a block without a quote ends at
+                # a record boundary, but a quoted cell may run on, so with a
+                # quote it reads the rest of the file too
+                rows = io.StringIO(text, newline="")
+                if '"' in text:
+                    rows = itertools.chain(rows, handle)
+                reader = csv.reader(rows, delimiter=delimiter)
+                rest, blanks = _read_rows(reader, index, line)
+                parsed = np.array(rest, dtype=float), blanks, reader.line_num
             block, blanks, lines = parsed
             # one array grown by doubling: arrays kept per block pin heap memory
             if count + block.size > values.size:

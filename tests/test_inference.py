@@ -326,10 +326,14 @@ def _leave_one_out_unblocked(xs, v, kind):
 
 
 @pytest.mark.parametrize("kind", ["ustat", "edf"])
-@pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1, _BLOCK + 2, 2 * _BLOCK + 1])
+@pytest.mark.parametrize(
+    "n", [_BLOCK - 1, _BLOCK, _BLOCK + 1, _BLOCK + 2, 2 * _BLOCK + 1, 2 * _BLOCK + 3]
+)
 def test_leave_one_out_bit_identical_across_block_edges(n, kind):
-    # the sweeps run over the n - 1 weight positions: n = _BLOCK + 2 is the
-    # first size with two blocks, the last of them one position long
+    # the sweeps run over the n - 1 weight positions in blocks counted from
+    # the top: n = _BLOCK + 2 is the first size with two blocks, the bottom
+    # one a single position long, and n = 2 * _BLOCK + 3 has three, the
+    # middle one's min-side sums rebuilt with carries from below and above
     rng = np.random.default_rng(n)
     spread = rng.lognormal(0.0, 1.0, n)
     lower = rng.lognormal(0.0, 1.0, n)
@@ -366,6 +370,24 @@ def test_leave_one_out_memory_does_not_depend_on_the_top_binade(kind):
         finally:
             tracemalloc.stop()
     assert abs(peaks[1] - peaks[0]) < 8 * _BLOCK
+
+
+@pytest.mark.parametrize("kind", ["ustat", "edf"])
+@pytest.mark.parametrize("call", [leave_one_out, jackknife_variance])
+def test_jackknife_holds_one_length_n_array_beside_the_weights(kind, call):
+    # the weights and the returned array are the only length-n allocations;
+    # the rest is block buffers and a few hundred bytes of bookkeeping
+    import tracemalloc
+
+    n = 4 * _BLOCK
+    s = make_sample(np.random.default_rng(5).lognormal(0.0, 1.0, n))
+    tracemalloc.start()
+    try:
+        call(s, 3, kind)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (2 * n + 4 * _BLOCK) + 4096
 
 
 def test_plugin_and_jackknife_se_within_factor_two_on_pinned_samples():

@@ -310,6 +310,49 @@ def test_ingest_hands_over_at_the_rejected_block(tmp_path):
     assert result.skipped == want[1] == 0
 
 
+def test_ingest_rejected_block_without_a_quote_stays_local(tmp_path):
+    """A blank middle-column income cell sends only its own block to the row
+    reader: every later block goes back to the block reader."""
+    body = [f"{i},{i % 9973}.25,r{i % 7}\n" for i in range(30_000)]  # about 480 KB
+    body[10] = "10,,r3\n"  # file line 12
+    path = write(tmp_path, "id,income,region\n" + "".join(body))
+    assert path.stat().st_size > 4 * reporting._BLOCK
+    texts, local = [], []
+    parse_block, read_rows = reporting._parse_block, reporting._read_rows
+
+    def spy_parse(text, delimiter, index):
+        texts.append(text)
+        return parse_block(text, delimiter, index)
+
+    def spy_rows(rows, index, line):
+        local.append(line)
+        return read_rows(rows, index, line)
+
+    with mock.patch.object(reporting, "_parse_block", spy_parse), \
+            mock.patch.object(reporting, "_read_rows", spy_rows):
+        result = ingest_csv(path, column="income")
+    assert len(texts) > 4 and "".join(texts) == "".join(body)
+    assert "10,,r3\n" in texts[0] and local == [1]
+    want = reference_ingest(path, "income", ",", True)
+    assert result.sample.values.tobytes() == want[0].tobytes()
+    assert result.skipped == want[1] == 1
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("bad", [3_000, 21_000], ids=["same-block", "later-block"])
+def test_ingest_error_after_a_block_local_fallback_names_its_line(tmp_path, newline, bad):
+    """Line numbers run on across a block the row reader read alone."""
+    body = [f"{i},{i % 9973}.25,r{i % 7}" for i in range(30_000)]
+    body[10] = "10,,r3"  # file line 12: its block goes to the row reader alone
+    body[bad] = f"{bad},n/a,r0"  # file line bad + 2
+    path = tmp_path / "incomes.csv"
+    path.write_bytes(newline.join(["id,income,region"] + body + [""]).encode())
+    with pytest.raises(ParseError, match="not a number: 'n/a'") as info:
+        ingest_csv(path, column="income")
+    assert info.value.line == bad + 2
+    assert_same_ingest(path, "income", ",", True)
+
+
 @pytest.mark.parametrize("delimiter", [",", "\n", "\r", '"', "-", "1", "."])
 def test_ingest_odd_delimiters_match_csv_reader(tmp_path, delimiter):
     text = "".join(f"{k}{delimiter}{cell}\n" for k, cell in enumerate(["5", "", "7.5"]))
