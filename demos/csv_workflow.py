@@ -3,8 +3,8 @@ From a CSV of incomes to a report
 =================================
 
 The same pipeline the `gim` command line runs, called as a library:
-ingest a column of incomes, describe it, estimate GIM(v) with intervals,
-and export a binned density for plotting.
+ingest a column of incomes, describe it, and estimate GIM(v) with
+intervals.
 """
 
 import tempfile
@@ -12,19 +12,17 @@ from pathlib import Path
 
 import numpy as np
 
-from gimtools import describe, emit_density, ingest_csv, report
-
-workdir = Path(tempfile.mkdtemp(prefix="gim_demo_"))
+from gimtools import describe, ingest_csv, report
 
 # Fake a survey file: 500 lognormal household incomes, a few blank cells
 # the way real exports have them.
 rng = np.random.default_rng(11)
 rows = [f"{x:.2f}" for x in rng.lognormal(10.2, 0.6, size=500)]
 rows[37] = rows[301] = ""  # nonresponse
-csv_path = workdir / "survey.csv"
-csv_path.write_text("household_income\n" + "\n".join(rows) + "\n")
-
-sample, skipped = ingest_csv(csv_path, column="household_income")
+with tempfile.TemporaryDirectory(prefix="gim_demo_") as workdir:
+    csv_path = Path(workdir) / "survey.csv"
+    csv_path.write_text("household_income\n" + "\n".join(rows) + "\n")
+    sample, skipped = ingest_csv(csv_path, column="household_income")
 print(f"read {sample.n} incomes from {csv_path.name}, skipped {skipped} blanks")
 
 stats = describe(sample)
@@ -37,9 +35,3 @@ print(f"\nGini coefficient: {row.gini:.3f}")
 for entry in row.entries:
     print(f"GIM({entry.v}) = {entry.value:.3f}   "
           f"95% CI [{entry.ci_low:.3f}, {entry.ci_high:.3f}]")
-
-# Binned density with a kernel overlay, ready for any plotting tool.
-density_csv = workdir / "density.csv"
-dens = emit_density(sample, density_csv, bins=40, svg_path=workdir / "density.svg")
-print(f"\nwrote {dens.rows} density rows (bandwidth {dens.bandwidth:,.0f}) "
-      f"and an SVG preview under {workdir}")

@@ -28,7 +28,6 @@ from .errors import (
     EnumerationTooLarge,
     GimError,
     InvalidArgument,
-    InvalidBandwidth,
     InvalidLevel,
     InvalidProbability,
     InvalidStdError,
@@ -51,8 +50,6 @@ from .inference import (
 )
 from .measures import (
     GimEstimate,
-    PremiaReport,
-    extended_gini,
     gim_edf,
     gim_ustat,
     gim_ustat_naive,
@@ -66,7 +63,6 @@ from .reporting import (
     DescriptiveStats,
     ReportRow,
     describe,
-    emit_density,
     ingest_csv,
     report,
 )
@@ -88,13 +84,11 @@ __all__ = [
     "make_sample",
     # measures
     "GimEstimate",
-    "PremiaReport",
     "subset_weights",
     "max_moment_u",
     "min_moment_u",
     "gmd",
     "gini_ustat",
-    "extended_gini",
     "gim_ustat",
     "gim_ustat_naive",
     "gim_edf",
@@ -128,7 +122,6 @@ __all__ = [
     "describe",
     "report",
     "ingest_csv",
-    "emit_density",
     # errors
     "GimError",
     "EmptySample",
@@ -145,6 +138,5 @@ __all__ = [
     "EmptyGrid",
     "ParseError",
     "EmptyColumn",
-    "InvalidBandwidth",
     "InvalidArgument",
 ]

@@ -4,7 +4,6 @@ Subcommands::
 
     gim describe  --input data.csv --column income
     gim report    --input data.csv --column income --v 2,3 --ci 0.95
-    gim density   --input data.csv --column income --out density.csv
     gim simulate  [--grid study.ini] [--reps N] [--seed N]
     gim selftest
 
@@ -39,7 +38,7 @@ from .measures import (
     max_moment_u,
     min_moment_u,
 )
-from .reporting import describe, emit_density, ingest_csv, report
+from .reporting import describe, ingest_csv, report
 from .simulation import default_grid, emit_table, load_grid_config, run_grid
 
 
@@ -165,23 +164,6 @@ def _cmd_report(args):
             )
         text = "\n".join(lines) + "\n"
     _write_output(args, text)
-    return 0
-
-
-def _cmd_density(args):
-    sample = _read_sample(args)
-    out_path = args.out or "density.csv"
-    result = emit_density(
-        sample,
-        out_path,
-        bins=args.bins,
-        bandwidth=args.bandwidth,
-        svg_path=args.svg,
-    )
-    made = f"wrote {result.rows} rows to {out_path} (bandwidth {result.bandwidth:.6g})"
-    if args.svg:
-        made += f" and plot to {args.svg}"
-    print(made, file=sys.stderr)
     return 0
 
 
@@ -311,15 +293,6 @@ def build_parser():
     p.add_argument("--label", help="dataset label (default: input path)")
     _add_output_options(p, formats=("md", "csv"))
     p.set_defaults(func=_cmd_report)
-
-    p = commands.add_parser("density", help="histogram and kernel density CSV")
-    _add_input_options(p)
-    p.add_argument("--bins", type=int, default=30, help="histogram bin count")
-    p.add_argument("--bandwidth", type=float,
-                   help="kernel bandwidth (default: Silverman's rule)")
-    p.add_argument("--svg", help="also write a self-contained SVG plot here")
-    p.add_argument("--out", help="output CSV path (default: density.csv)")
-    p.set_defaults(func=_cmd_density)
 
     p = commands.add_parser("simulate", help="Monte Carlo bias/MSE study")
     p.add_argument("--grid", help="INI grid config (see load_grid_config)")

@@ -226,7 +226,10 @@ class Pareto(Distribution):
     # the product below has no cancellation at any order.  Quadrature takes
     # over past this one for a single reason: perfbench/tests/test_spans.py
     # needs theoretical_gim(Pareto(3, 1), 40) to run the quadrature ladder.
-    # ROADMAP item 1 removes the cap and moves that op to the lognormal
+    # The cap costs the heaviest tails their values: past it, shapes up to
+    # 1.03 raise QuadratureNoConvergence (shape 1.04 converges), because the
+    # graded mesh does not settle on the (1 - u)**(-1/shape) tail.  Moving
+    # that benchmark op to the lognormal lets the cap go
     _CLOSED_FORM_MAX_ORDER = 18
 
     def _closed_extremes(self, v):

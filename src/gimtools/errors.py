@@ -82,10 +82,6 @@ class EmptyColumn(GimError):
     """Raised when CSV ingestion finds no usable values in the column."""
 
 
-class InvalidBandwidth(GimError):
-    """Raised for kernel bandwidths that are not positive and finite."""
-
-
 class InvalidArgument(GimError, ValueError):
     """Raised for a count, seed or distribution parameter outside its range."""
 

@@ -12,7 +12,7 @@ normal for both estimators.  This module provides:
 * ``confidence_interval`` — normal-approximation intervals clamped to [0, 1],
   with z from the library's own Cephes ``ndtri`` port at the lower tail
   (1 - level)/2, which carries no rounding for level >= 1/2 (scipy is not
-  loaded);
+  loaded), computed once per level;
 * ``edf_numerator_variance`` — the asymptotic variance of the sqrt(n)-scaled
   plug-in numerator, evaluated by graded quadrature of its covariance
   double integral; its inner integral within a panel comes from the panel's
@@ -39,6 +39,7 @@ rebuilt when the descending sweep reaches it.
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -338,6 +339,17 @@ def _check_level(level):
         raise InvalidLevel(f"confidence level must be inside (0, 1), got {level!r}")
 
 
+@lru_cache(maxsize=16)
+def _two_sided_z(level):
+    """z for a two-sided normal interval of ``level``, computed once per level.
+
+    The ndtri port works on arrays: on one scalar it costs about 0.1 ms,
+    against well under 1 us for a cached lookup, and a report makes one
+    interval per order, all at one level.
+    """
+    return -float(_ndtri_lower((1.0 - level) / 2.0))
+
+
 def confidence_interval(point, ve, level=0.95):
     """Normal-approximation confidence interval around a GIM estimate.
 
@@ -356,7 +368,7 @@ def confidence_interval(point, ve, level=0.95):
         raise InvalidStdError(
             f"std_error must be finite and non-negative, got {ve.std_error!r}"
         )
-    z = -float(_ndtri_lower((1.0 - level) / 2.0))
+    z = _two_sided_z(float(level))
     low = min(max(point - z * ve.std_error, 0.0), 1.0)
     high = min(max(point + z * ve.std_error, 0.0), 1.0)
     return replace(ve, level=level, ci_low=low, ci_high=high)

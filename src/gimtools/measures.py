@@ -59,25 +59,6 @@ class GimEstimate:
     v: int
 
 
-@dataclass(frozen=True)
-class PremiaReport:
-    """Mean, extended-Gini premia and the price-spread quantities of order v.
-
-    ``risk_premium``  = E(X) - E(min of v)   (what a seller gives up),
-    ``gain_premium``  = E(max of v) - E(X)   (what a buyer may concede),
-    ``starting_bid``  = E(min of v),
-    ``bin_price``     = E(max of v),
-    ``price_spread_width`` = bin_price - starting_bid = E(max - min).
-    """
-
-    mean: float
-    risk_premium: float
-    gain_premium: float
-    starting_bid: float
-    bin_price: float
-    price_spread_width: float
-
-
 def _check_order(v, n=None):
     """``v`` as an int; raises unless it is a positive integer, at most ``n``."""
     v = check_integer(v, "order v", OrderExceedsSample, 1)
@@ -320,29 +301,6 @@ def gini_ustat(s):
     if s.values[-1] == 0.0:
         raise ZeroMean("Gini index undefined for an all-zero sample")
     return gim_ustat(s, 2).value
-
-
-def extended_gini(s, v):
-    """Extended-Gini premia and price-spread quantities of order v.
-
-    Returns a :class:`PremiaReport` built from the unbiased extreme-moment
-    estimates: risk premium mean - E(min of v), gain premium
-    E(max of v) - mean, starting bid E(min of v), buy-it-now price
-    E(max of v), and their width E(max - min).
-    """
-    s = as_sample(s)
-    _check_order(v, s.n)
-    e_max, e_min, exponent = _ustat_sums(s, v)
-    e_max, e_min = _unscale(e_max, exponent), _unscale(e_min, exponent)
-    mean = s.mean()
-    return PremiaReport(
-        mean=mean,
-        risk_premium=mean - e_min,
-        gain_premium=e_max - mean,
-        starting_bid=e_min,
-        bin_price=e_max,
-        price_spread_width=max(e_max - e_min, 0.0),
-    )
 
 
 def gim_ustat(s, v):

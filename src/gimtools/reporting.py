@@ -1,8 +1,8 @@
 """Data-analysis workflow pieces: CSV ingestion, descriptives, reports.
 
 These are the library halves of the CLI subcommands: read an income column
-out of a CSV file, summarize it, estimate Gini/GIM(v) with confidence
-intervals, and export histogram/density curves for plotting.
+out of a CSV file, summarize it, and estimate Gini/GIM(v) with confidence
+intervals.
 """
 
 import csv
@@ -14,8 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (EmptyColumn, InvalidArgument, InvalidBandwidth, NegativeIncome, NonFinite,
-                     ParseError, check_integer)
+from .errors import (EmptyColumn, InvalidArgument, NegativeIncome, NonFinite, ParseError,
+                     check_integer)
 from .inference import METHODS, _check_level, confidence_interval, jackknife_variance, ustat_variance
 from .measures import _check_order, gim_ustat, gini_ustat
 from .samples import as_sample, make_sample
@@ -341,144 +341,3 @@ def report(s, v_list, ci_level=0.95, se_method="jackknife", label="sample"):
             )
         )
     return ReportRow(label=label, gini=gini, entries=tuple(entries))
-
-
-class DensityResult(NamedTuple):
-    """What :func:`emit_density` wrote: row count and the bandwidth used."""
-
-    rows: int
-    bandwidth: float
-
-
-def silverman_bandwidth(s):
-    """Silverman's rule-of-thumb kernel bandwidth.
-
-    0.9 * min(sd, IQR/1.34) * n^(-1/5); raises InvalidBandwidth on
-    degenerate (constant or too-small) samples where the rule gives 0.
-    """
-    s = as_sample(s)
-    if s.n < 2:
-        raise InvalidBandwidth("bandwidth rule needs at least 2 observations")
-    sd, _ = _scaled_spread(s)
-    q75, q25 = np.percentile(s.values, [75.0, 25.0])
-    iqr = float(q75 - q25)
-    spread = min(sd, iqr / 1.34) if iqr > 0 else sd
-    width = 0.9 * spread * s.n ** (-0.2)
-    if not width > 0:
-        raise InvalidBandwidth(
-            "sample spread is zero; pass an explicit bandwidth"
-        )
-    return width
-
-
-def emit_density(s, out_path, bins=30, bandwidth=None, svg_path=None):
-    """Write histogram counts and a Gaussian kernel density curve as CSV.
-
-    The CSV has exactly ``bins`` rows (columns ``bin_mid,count,density``):
-    the kernel density is evaluated at the histogram bin midpoints, so one
-    grid serves both curves.  ``bandwidth`` defaults to Silverman's rule.
-    With ``svg_path`` set, a small self-contained SVG line plot of the
-    density is written as well.  Both curves run on :meth:`IncomeSample.scaled`
-    values, so a density reads ``inf`` only past the float range.
-
-    Returns
-    -------
-    DensityResult
-    """
-    s = as_sample(s)
-    bins = check_integer(bins, "bins", InvalidArgument, 1)
-    if bandwidth is None:
-        bandwidth = silverman_bandwidth(s)
-    elif not 0 < bandwidth < math.inf:
-        raise InvalidBandwidth(f"bandwidth must be positive and finite, got {bandwidth!r}")
-
-    x, exponent = s.scaled()
-    # a bandwidth that vanishes at the sample's scale, or whose kernel
-    # normaliser overflows, has no density to give
-    with np.errstate(divide="ignore", over="ignore"):
-        scaled_bandwidth = np.ldexp(bandwidth, -exponent)
-        inv = 1.0 / (scaled_bandwidth * math.sqrt(2.0 * math.pi) * s.n)
-    if not np.isfinite(inv):
-        raise InvalidBandwidth(
-            f"bandwidth {bandwidth!r} is too small for a sample of this scale"
-        )
-    counts, edges = np.histogram(x, bins=bins)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    if inv < np.finfo(float).tiny:
-        # a kernel this wide is flat across the sample (every exp(-z*z/2)
-        # rounds to 1) and its normaliser underflows at the sample's scale,
-        # so the density is the kernel's peak, taken unscaled
-        scaled_density = np.ones(bins)
-        density = np.full(bins, math.sqrt(0.5 / math.pi) / bandwidth)
-    else:
-        # Gaussian KDE at the midpoints; bins x n kept memory-bounded by
-        # chunking over the sample
-        scaled_density = np.zeros(bins)
-        with np.errstate(over="ignore"):  # an overflowing z * z gives exp(-inf) = 0
-            for lo in range(0, s.n, 16_384):
-                block = x[lo : lo + 16_384]
-                z = (mids[:, None] - block[None, :]) / scaled_bandwidth
-                scaled_density += inv * np.sum(np.exp(-0.5 * z * z), axis=1)
-            density = np.ldexp(scaled_density, -exponent)
-    mids = np.ldexp(mids, exponent)
-
-    lines = ["bin_mid,count,density"]
-    for mid, count, dens in zip(mids, counts, density):
-        lines.append(f"{mid:.10g},{int(count)},{dens:.10g}")
-    with open(out_path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
-
-    if svg_path is not None:
-        # the plot's y-axis is relative, and the scaled density stays finite
-        _write_density_svg(svg_path, mids, scaled_density, counts)
-    return DensityResult(rows=bins, bandwidth=float(bandwidth))
-
-
-def _write_density_svg(path, grid, density, counts):
-    """Self-contained SVG: histogram bars plus the density polyline."""
-    width, height, pad = 640, 360, 40
-    span_x = grid[-1] - grid[0] if grid[-1] > grid[0] else 1.0
-    top = float(density.max()) if density.max() > 0 else 1.0
-    bar_top = float(max(counts.max(), 1))
-    inner_w = width - 2 * pad
-    inner_h = height - 2 * pad
-
-    def sx(value):
-        return pad + (value - grid[0]) / span_x * inner_w
-
-    def sy(value, scale):
-        return height - pad - value / scale * inner_h
-
-    bar_w = inner_w / len(grid)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-    ]
-    for mid, count in zip(grid, counts):
-        if count == 0:
-            continue
-        y = sy(count, bar_top)
-        parts.append(
-            f'<rect x="{sx(mid) - bar_w / 2:.2f}" y="{y:.2f}" '
-            f'width="{bar_w:.2f}" height="{height - pad - y:.2f}" '
-            f'fill="#c8d8e8"/>'
-        )
-    points = " ".join(
-        f"{sx(g):.2f},{sy(d, top):.2f}" for g, d in zip(grid, density)
-    )
-    parts.append(
-        f'<polyline points="{points}" fill="none" stroke="#1f4e79" stroke-width="1.5"/>'
-    )
-    axis = f'M {pad} {height - pad} H {width - pad} M {pad} {height - pad} V {pad}'
-    parts.append(f'<path d="{axis}" stroke="black" fill="none"/>')
-    parts.append(
-        f'<text x="{pad}" y="{height - pad + 16}" font-size="10">{grid[0]:.3g}</text>'
-    )
-    parts.append(
-        f'<text x="{width - pad}" y="{height - pad + 16}" font-size="10" '
-        f'text-anchor="end">{grid[-1]:.3g}</text>'
-    )
-    parts.append("</svg>")
-    with open(path, "w") as handle:
-        handle.write("\n".join(parts) + "\n")

@@ -171,31 +171,30 @@ def load_grid_config(path):
     list of SimCell
     """
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path, encoding="utf-8")
+        # every value is read here, so an interpolation error surfaces here too
+        sections = {name: dict(parser[name]) for name in parser.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise _config_error(exc, path) from None
     if not read:
         raise ParseError(f"cannot read grid config {path!r}")
 
-    replications = 10_000
-    base_seed = 1
-    if parser.has_section("run"):
-        run = parser["run"]
-        try:
-            replications = run.getint("replications", replications)
-            base_seed = run.getint("seed", base_seed)
-        except ValueError as exc:
-            raise ParseError(f"bad [run] value in {path!r}: {exc}") from exc
+    run = sections.pop("run", {})
+    try:
+        replications = int(run.get("replications", 10_000))
+        base_seed = int(run.get("seed", 1))
+    except ValueError as exc:
+        raise ParseError(f"bad [run] value in {path!r}: {exc}") from exc
 
     keys = []
-    for section in parser.sections():
-        if section == "run":
-            continue
+    for section, options in sections.items():
         family = section.split()[0].lower()
         if family not in FAMILIES:
             raise ParseError(
                 f"unknown family section [{section}] in {path!r}; "
                 f"expected one of {sorted(FAMILIES)}"
             )
-        options = dict(parser[section])
         sizes_text = options.pop("n", None)
         orders_text = options.pop("v", None)
         try:
@@ -209,6 +208,26 @@ def load_grid_config(path):
     if not keys:
         raise ParseError(f"no family sections found in {path!r}")
     return _grid(keys, replications, base_seed)
+
+
+def _config_error(exc, path):
+    """A one-line :class:`ParseError` for a ``configparser`` or decoding
+    error, with its line number where the error carries one."""
+    line = getattr(exc, "lineno", None)
+    if isinstance(exc, configparser.DuplicateSectionError):
+        message = f"section [{exc.section}] appears twice in {path!r}"
+    elif isinstance(exc, configparser.DuplicateOptionError):
+        message = f"option {exc.option!r} appears twice in section [{exc.section}] of {path!r}"
+    elif isinstance(exc, configparser.MissingSectionHeaderError):
+        message = f"{exc.line.strip()!r} comes before any [section] header in {path!r}"
+    elif isinstance(exc, configparser.ParsingError):
+        line = exc.errors[0][0]
+        message = f"neither a [section] header nor a 'name = value' option in {path!r}"
+    elif isinstance(exc, configparser.InterpolationError):
+        message = f"bad section [{exc.section}] in {path!r}: {exc.option}: {exc.message}"
+    else:
+        message = f"bad grid config {path!r}: {exc}"
+    return ParseError(message, line=line)
 
 
 def emit_table(results, format="csv"):

@@ -149,10 +149,6 @@ def test_report_rejects_bad_order_list(fixture_csv, capsys):
         main(["report", "--input", str(fixture_csv), "--v", "two"])
 
 
-# ---------------------------------------------------------------------------
-# density
-
-
 def test_report_jackknife_names_the_leave_one_out_sample(tmp_path, capsys):
     """Deleting the only nonzero income leaves an all-zero sample; the sample
     itself is not all zero, and plug-in intervals still work on it."""
@@ -165,29 +161,6 @@ def test_report_jackknife_names_the_leave_one_out_sample(tmp_path, capsys):
     )
     assert main(["report", "--input", str(path), "--se", "plugin", "--format", "csv"]) == 0
     assert capsys.readouterr().out.splitlines()[1].startswith(f"{path},1,2,1,")
-
-
-def test_density_writes_csv_and_svg(fixture_csv, tmp_path, capsys):
-    out = tmp_path / "d.csv"
-    svg = tmp_path / "d.svg"
-    rc = main(
-        ["density", "--input", str(fixture_csv), "--bins", "4",
-         "--out", str(out), "--svg", str(svg)]
-    )
-    assert rc == 0
-    assert out.read_text().startswith("bin_mid,count,density")
-    assert len(out.read_text().strip().split("\n")) == 5
-    assert "<svg" in svg.read_text()
-    assert "wrote 4 rows" in capsys.readouterr().err
-
-
-def test_density_bad_bandwidth_fails_cleanly(fixture_csv, tmp_path, capsys):
-    rc = main(
-        ["density", "--input", str(fixture_csv), "--bandwidth", "-1",
-         "--out", str(tmp_path / "d.csv")]
-    )
-    assert rc == 1
-    assert "error" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +208,17 @@ def test_simulate_default_grid_small(capsys):
     assert out.startswith("| family ")
     assert "exponential" in out and "pareto" in out and "lognormal" in out
     assert len(out.strip().split("\n")) == 2 + 36
+
+
+def test_simulate_malformed_grid_fails_in_one_line(tmp_path, capsys):
+    grid = tmp_path / "incomes.csv"
+    grid.write_text("income\n3\n5\n")
+    assert main(["simulate", "--grid", str(grid)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"gim simulate: error: line 1: 'income' comes before any [section] header in {str(grid)!r}\n"
+    )
 
 
 def test_simulate_draws_past_the_float_range_fail_cleanly(tmp_path, capsys):
@@ -344,16 +328,15 @@ def test_simulate_seed_without_room_for_every_cell_fails_in_one_line(capsys):
         ["simulate", "--reps", "5", "--seed", "-1"],
         ["selftest", "--seed", "-1"],
         ["selftest", "--seed", str(1 << 64)],
-        ["density", "--input", "{csv}", "--bins", "0", "--out", "{out}"],
         ["report", "--input", "{csv}", "--column", "-5"],
         ["describe", "--input", "{csv}", "--delimiter", ""],
         ["describe", "--input", "{csv}", "--delimiter", ";;"],
     ],
-    ids=["reps", "seed", "selftest-seed", "selftest-seed-2**64", "bins", "column",
+    ids=["reps", "seed", "selftest-seed", "selftest-seed-2**64", "column",
          "delimiter-empty", "delimiter-two-characters"],
 )
-def test_bad_integer_argument_fails_in_one_line(fixture_csv, tmp_path, capsys, argv):
-    argv = [arg.format(csv=fixture_csv, out=tmp_path / "d.csv") for arg in argv]
+def test_bad_integer_argument_fails_in_one_line(fixture_csv, capsys, argv):
+    argv = [arg.format(csv=fixture_csv) for arg in argv]
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith(f"gim {argv[0]}: error: ")

@@ -37,7 +37,7 @@ from gimtools import (
     theoretical_gim,
     ustat_variance,
 )
-from gimtools import quadrature
+from gimtools import inference, quadrature
 from gimtools.distributions import _MIN_UNIFORM
 from gimtools.inference import _edf_numerator_variance_at
 from gimtools.measures import _BLOCK, extreme_weights, gim_ratio, subset_weights
@@ -473,6 +473,21 @@ def test_confidence_interval_at_levels_next_to_one(level):
         out = confidence_interval(0.0, ve, level)
     assert out.ci_low == 0.0
     assert_allclose(out.ci_high * 16.0, -ndtri((1.0 - level) / 2.0), rtol=2e-15)
+
+
+def test_report_computes_interval_z_once_per_level(monkeypatch):
+    ndtri_lower, calls = inference._ndtri_lower, []
+
+    def counting(p):
+        calls.append(p)
+        return ndtri_lower(p)
+
+    inference._two_sided_z.cache_clear()
+    monkeypatch.setattr(inference, "_ndtri_lower", counting)
+    s = draw_sample(Exponential(1.0), 40, SeededStream(5, 0))
+    row = report(s, [2, 3, 4, 5, 6], ci_level=0.8125)
+    assert len(row.entries) == 5
+    assert calls == [(1.0 - 0.8125) / 2.0]
 
 
 # ---------------------------------------------------------------------------

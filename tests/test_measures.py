@@ -17,7 +17,6 @@ from gimtools import (
     OrderExceedsSample,
     SampleTooSmall,
     ZeroMean,
-    extended_gini,
     gim_edf,
     gim_ustat,
     gim_ustat_naive,
@@ -216,6 +215,18 @@ def test_moments_v_equals_n_are_the_extremes():
     assert_allclose(min_moment_u(s, 4), 1.0, rtol=1e-14)
 
 
+@given(incomes(min_size=2, max_size=30), st.integers(min_value=2, max_value=5))
+@settings(max_examples=100, deadline=None)
+def test_extreme_moments_bracket_the_mean(xs, v):
+    """E(min of v) <= mean <= E(max of v); their gap is the GIM numerator."""
+    s = make_sample(xs)
+    v = min(v, s.n)
+    e_max, e_min, mean = max_moment_u(s, v), min_moment_u(s, v), s.mean()
+    assert e_min <= mean * (1 + 1e-12) + 1e-12
+    assert e_max >= mean * (1 - 1e-12) - 1e-12
+    assert_allclose(e_max - e_min, gim_ustat(s, v).numerator, rtol=1e-12, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # GMD / Gini
 
@@ -355,7 +366,9 @@ def test_gim_near_float_max_matches_rescaled_sample():
 
 
 def test_gini_mean_and_premia_near_float_max_match_rescaled_sample():
-    """np.mean used to overflow here, so gini_ustat read a silent 0.0."""
+    """np.mean used to overflow here, so gini_ustat read a silent 0.0.  The
+    mean and the extreme moments of the premia E(max) - mean and
+    mean - E(min) scale back from the rescaled sample bit for bit."""
     s = make_sample([1e308, 1.7e308, 1.5e308, 1.2e308])
     x, exponent = s.scaled()
     rescaled = make_sample(x)
@@ -364,14 +377,13 @@ def test_gini_mean_and_premia_near_float_max_match_rescaled_sample():
         warnings.simplefilter("error")
         gini = gini_ustat(s)
         mean = s.mean()
-        premia = extended_gini(s, 3)
+        moments = max_moment_u(s, 3), min_moment_u(s, 3)
     assert_allclose(gini, gim_ustat(s, 2).value, rtol=1e-12)
     assert_allclose(gini, 4 / 27, rtol=1e-12)
     assert mean == math.ldexp(rescaled.mean(), exponent)
-    reference = extended_gini(rescaled, 3)
-    for field in ("mean", "risk_premium", "gain_premium", "starting_bid",
-                  "bin_price", "price_spread_width"):
-        assert getattr(premia, field) == math.ldexp(getattr(reference, field), exponent)
+    assert moments == tuple(
+        math.ldexp(moment(rescaled, 3), exponent) for moment in (max_moment_u, min_moment_u)
+    )
 
 
 @given(
@@ -541,31 +553,3 @@ def test_order_validation_applies_to_both_estimators():
             fn(s, 0)
         with pytest.raises(OrderExceedsSample, match="positive integer"):
             fn(s, True)
-
-
-# ---------------------------------------------------------------------------
-# extended Gini premia
-
-
-def test_extended_gini_small_case():
-    rep = extended_gini(make_sample([1.0, 2.0, 3.0]), 2)
-    assert_allclose(rep.mean, 2.0, rtol=1e-14)
-    assert_allclose(rep.starting_bid, 4 / 3, rtol=1e-14)
-    assert_allclose(rep.bin_price, 8 / 3, rtol=1e-14)
-    assert_allclose(rep.risk_premium, 2 / 3, rtol=1e-14)
-    assert_allclose(rep.gain_premium, 2 / 3, rtol=1e-14)
-    assert_allclose(rep.price_spread_width, 4 / 3, rtol=1e-14)
-
-
-@given(incomes(min_size=2, max_size=30), st.integers(min_value=2, max_value=5))
-@settings(max_examples=100, deadline=None)
-def test_extended_gini_consistency(xs, v):
-    s = make_sample(xs)
-    v = min(v, s.n)
-    rep = extended_gini(s, v)
-    assert rep.starting_bid <= rep.mean * (1 + 1e-12) + 1e-12
-    assert rep.bin_price >= rep.mean * (1 - 1e-12) - 1e-12
-    assert rep.price_spread_width >= 0.0
-    assert_allclose(
-        rep.price_spread_width, gim_ustat(s, v).numerator, rtol=1e-12, atol=1e-12
-    )

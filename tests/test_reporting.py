@@ -1,10 +1,8 @@
-"""CSV ingestion, descriptive statistics, report rows, density output."""
+"""CSV ingestion, descriptive statistics, report rows."""
 
 import csv
 import io
 import itertools
-import math
-import warnings
 from unittest import mock
 
 import numpy as np
@@ -19,21 +17,18 @@ from gimtools import (
     GimError,
     InvalidArgument,
     InvalidLevel,
-    InvalidBandwidth,
     NegativeIncome,
     NonFinite,
     ParseError,
     SeededStream,
     describe,
     draw_sample,
-    emit_density,
     gini_ustat,
     ingest_csv,
     make_sample,
     report,
 )
 from gimtools import reporting
-from gimtools.reporting import silverman_bandwidth
 
 
 # ---------------------------------------------------------------------------
@@ -556,148 +551,3 @@ def test_report_three_group_fixture_ordering():
     row = report(make_sample(incomes), [2, 3])
     gim2, gim3 = row.entries[0].value, row.entries[1].value
     assert gim3 > gim2 > 0.0
-
-
-# ---------------------------------------------------------------------------
-# density
-
-
-def test_silverman_hand_value():
-    xs = [1.0, 2.0, 3.0, 4.0, 100.0]
-    s = make_sample(xs)
-    sd = np.std(xs, ddof=1)
-    q75, q25 = np.percentile(xs, [75, 25])
-    expect = 0.9 * min(sd, (q75 - q25) / 1.34) * 5 ** (-0.2)
-    assert_allclose(silverman_bandwidth(s), expect, rtol=1e-12)
-
-
-def test_silverman_rejects_constant_sample():
-    with pytest.raises(InvalidBandwidth):
-        silverman_bandwidth(make_sample([3.0, 3.0, 3.0]))
-
-
-@pytest.mark.parametrize("scale", [1e308, 1e-200])
-def test_silverman_near_float_extremes_matches_rescaled_sample(scale):
-    """The sd behind the default bandwidth neither overflows nor underflows
-    to a spurious "spread is zero"."""
-    big = make_sample([scale * u for u in (1.0, 1.7, 1.5, 1.2)])
-    ref = make_sample(big.values / scale)
-    assert_allclose(silverman_bandwidth(big) / scale, silverman_bandwidth(ref), rtol=1e-12)
-
-
-def test_emit_density_csv_shape(tmp_path):
-    s = draw_sample(Exponential(1.0), 500, SeededStream(12, 0))
-    out = tmp_path / "density.csv"
-    result = emit_density(s, out, bins=25)
-    lines = out.read_text().strip().split("\n")
-    assert lines[0] == "bin_mid,count,density"
-    assert len(lines) == 1 + 25
-    assert result.rows == 25
-    assert result.bandwidth > 0
-    counts = [int(line.split(",")[1]) for line in lines[1:]]
-    assert sum(counts) == 500
-    densities = [float(line.split(",")[2]) for line in lines[1:]]
-    assert all(d >= 0 for d in densities)
-
-
-def test_emit_density_deterministic(tmp_path):
-    s = draw_sample(Exponential(1.0), 400, SeededStream(13, 0))
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    emit_density(s, a)
-    emit_density(s, b)
-    assert a.read_bytes() == b.read_bytes()
-
-
-def test_emit_density_explicit_bandwidth(tmp_path):
-    s = make_sample([1.0, 2.0, 3.0])
-    out = tmp_path / "d.csv"
-    result = emit_density(s, out, bins=5, bandwidth=0.75)
-    assert result.bandwidth == 0.75
-    # a kernel far narrower than the bin spacing: z * z overflows, exp(-inf) = 0
-    emit_density(s, out, bins=4, bandwidth=1e-160)
-    assert [line.split(",")[2] for line in out.read_text().splitlines()[1:]] == ["0"] * 4
-    with pytest.raises(InvalidBandwidth):
-        emit_density(s, out, bandwidth=0.0)
-    with pytest.raises(InvalidBandwidth, match="bandwidth must be positive and finite, got inf"):
-        emit_density(s, out, bandwidth=math.inf)
-
-
-@pytest.mark.parametrize(
-    "values,bandwidth",
-    [
-        ([1.0, 2.0, 3.0], 1e-309),  # the kernel normaliser overflows
-        ([1e308, 1.5e308], 5e-324),  # the scaled bandwidth underflows to 0
-    ],
-)
-def test_emit_density_rejects_a_vanishing_bandwidth(tmp_path, values, bandwidth):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(InvalidBandwidth, match=repr(bandwidth)):
-            emit_density(make_sample(values), tmp_path / "d.csv", bandwidth=bandwidth)
-
-
-@pytest.mark.parametrize(
-    "values,bandwidth",
-    [
-        ([1e-300, 2e-300, 3e-300], 1e10),  # the scaled bandwidth overflows
-        ([1.0, 2.0, 3.0], 1.5e308),  # the kernel normaliser overflows
-    ],
-)
-def test_emit_density_huge_bandwidth_gives_the_kernel_peak(tmp_path, values, bandwidth):
-    """A kernel far wider than the sample is flat across it: every density
-    is its peak, 1 / (h sqrt(2 pi)), not a silent 0."""
-    out = tmp_path / "d.csv"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        emit_density(
-            make_sample(values), out, bins=3, bandwidth=bandwidth, svg_path=tmp_path / "d.svg"
-        )
-    peak = 1.0 / math.sqrt(2.0 * math.pi) / bandwidth
-    densities = [row.split(",")[2] for row in out.read_text().splitlines()[1:]]
-    assert densities == [f"{peak:.10g}"] * 3  # the CSV holds 10 significant digits
-    assert "nan" not in (tmp_path / "d.svg").read_text()
-
-
-@pytest.mark.parametrize("bandwidth", [None, 1e307])
-def test_emit_density_near_float_extremes_matches_rescaled_sample(tmp_path, bandwidth):
-    """The grid and the kernel run at a power-of-two scale: no midpoint
-    overflows near the float maximum."""
-    scale = 1e308
-    sample = make_sample([scale * u for u in (1.0, 1.7, 1.5, 1.2)])
-    ref_bandwidth = None if bandwidth is None else bandwidth / scale
-    big, ref = tmp_path / "big.csv", tmp_path / "ref.csv"
-    emit_density(sample, big, bins=12, bandwidth=bandwidth)
-    emit_density(sample.values / scale, ref, bins=12, bandwidth=ref_bandwidth)
-    big_rows = np.loadtxt(big, delimiter=",", skiprows=1)
-    ref_rows = np.loadtxt(ref, delimiter=",", skiprows=1)
-    assert_allclose(big_rows[:, 0] / scale, ref_rows[:, 0], rtol=1e-12)
-    assert_allclose(big_rows[:, 1], ref_rows[:, 1], rtol=0)
-    assert_allclose(big_rows[:, 2] * scale, ref_rows[:, 2], rtol=1e-12)
-
-
-def test_emit_density_near_float_min_keeps_midpoints_finite(tmp_path):
-    """Subnormal incomes: finite midpoints, and a density that reads inf
-    because it truly exceeds the float range, without a warning."""
-    sample = make_sample([1e-310 * u for u in (1.0, 1.7, 1.5, 1.2)])
-    out = tmp_path / "tiny.csv"
-    emit_density(sample, out, bins=6, svg_path=tmp_path / "tiny.svg")
-    rows = np.loadtxt(out, delimiter=",", skiprows=1)
-    assert np.all(np.isfinite(rows[:, 0])) and np.all(rows[:, 0] > 0)
-    assert np.all(np.isinf(rows[:, 2]))
-    assert "nan" not in (tmp_path / "tiny.svg").read_text()
-
-
-@pytest.mark.parametrize("bins", [0, 2.5, True])
-def test_emit_density_rejects_bad_bins(tmp_path, bins):
-    with pytest.raises(InvalidArgument, match=f"bins must be a positive integer, got {bins!r}"):
-        emit_density(make_sample([1.0, 2.0, 3.0]), tmp_path / "d.csv", bins=bins)
-    assert not (tmp_path / "d.csv").exists()
-
-
-def test_emit_density_svg(tmp_path):
-    s = draw_sample(Exponential(1.0), 200, SeededStream(14, 0))
-    out, svg = tmp_path / "d.csv", tmp_path / "d.svg"
-    emit_density(s, out, bins=12, svg_path=svg)
-    text = svg.read_text()
-    assert text.startswith("<svg") or "<svg" in text
-    assert "polyline" in text or "path" in text

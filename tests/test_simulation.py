@@ -1,5 +1,7 @@
 """Monte Carlo harness: stream contract, determinism, grids, tables."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -247,12 +249,22 @@ def test_load_grid_config_defaults(tmp_path):
         ("[exponential]\nrate = -1\n", "bad section"),
         ("[exponential]\nrate = inf\n", "rate must be finite, got inf"),
         ("[pareto]\nshape = inf\n", "shape must be finite, got inf"),
+        ("[pareto]\nshape = 2\n[pareto]\n", "line 3: section [pareto] appears twice"),
+        ("[pareto]\nshape = 2\nshape = 3\n", "line 3: option 'shape' appears twice in section [pareto]"),
+        ("income\n3\n", "line 1: 'income' comes before any [section] header"),
+        ("[exponential]\nrate = 5%\n", "bad section [exponential]"),
+        ("[run]\nseed = 5%\n[pareto]\n", "bad section [run]"),
+        ("[pareto]\nshape\n", "line 2: neither a [section] header nor a 'name = value' option"),
+        (b"[pareto]\nshape = 2\xff\n", "can't decode byte 0xff"),
     ],
 )
 def test_load_grid_config_rejects(tmp_path, text, fragment):
     path = tmp_path / "grid.ini"
-    path.write_text(text)
-    with pytest.raises(ParseError, match=fragment):
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
+    with pytest.raises(ParseError, match=re.escape(fragment)):
         load_grid_config(path)
 
 
