@@ -8,22 +8,24 @@ v in {2, 3} for each distribution family.
 
 Determinism contract: replication r of a cell always draws from the
 counter-based stream (cell.base_seed, r), so its estimate depends on the
-stream key alone, never on which chunk or call computed it.  Chunks run in
-index order on the calling thread, and accumulation happens in a fixed
-order after all replications are stored by index, so the same seed gives
-byte-identical output across runs and machines.
+stream key alone, never on which chunk or call computed it.  A chunk holds
+at most one cache block of draws (``measures._BLOCK`` values, 128 KB), or
+one replication when n is larger.  Chunks run in index order on the calling
+thread, and accumulation happens in a fixed order after all replications
+are stored by index, so the same seed gives byte-identical output across
+runs and machines.
 """
 
 import configparser
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import FAMILIES, fill_stream_rows, inverse_transform, theoretical_gim
 from .errors import EmptyGrid, InvalidArgument, ParseError, SampleTooSmall, check_integer
-from .measures import KINDS, _check_order, extreme_sums, extreme_weights, gim_ratio
+from .measures import _BLOCK, KINDS, _check_order, extreme_sums, extreme_weights, gim_ratio
 
-_CHUNK = 512  # replications sampled, sorted and summed per batch
 DEFAULT_SIZES = (20, 40, 60, 80, 100, 200)
 DEFAULT_ORDERS = (2, 3)
 
@@ -66,9 +68,13 @@ _FIELD_TAG = dict(zip(KINDS, ("u", "edf")))
 def run_cell(cell):
     """Run one Monte Carlo cell and summarize both estimators.
 
-    Replications run in chunks of 512, in index order, on the calling
-    thread; replication r draws from the stream (cell.base_seed, r), through
-    the family's unit-scale member, since the estimates are scale-free.
+    Replications run in chunks, in index order, on the calling thread;
+    replication r draws from the stream (cell.base_seed, r), through the
+    family's unit-scale member, since the estimates are scale-free.  A chunk
+    holds at most one cache block (``measures._BLOCK`` = 16384 values) of
+    draws, or a single replication once n exceeds 16384, so the uniform,
+    quantile, sort and sum buffers do not grow with the replication count.
+    Every step works row by row, so the chunk size moves no estimate.
 
     Parameters
     ----------
@@ -83,9 +89,10 @@ def run_cell(cell):
     weights = tuple(extreme_weights(kind, cell.n, cell.v) for kind in KINDS)
 
     reps = cell.replications
+    chunk = max(1, _BLOCK // cell.n)
     estimates = np.empty((len(KINDS), reps))  # one row per estimator kind
-    for lo in range(0, reps, _CHUNK):
-        hi = min(lo + _CHUNK, reps)
+    for lo in range(0, reps, chunk):
+        hi = min(lo + chunk, reps)
         uniforms = fill_stream_rows(np.empty((hi - lo, cell.n)), cell.base_seed, lo)
         x = inverse_transform(unit, uniforms)
         for est, (w_hi, w_lo) in zip(estimates, weights):
@@ -97,7 +104,7 @@ def run_cell(cell):
         tag = _FIELD_TAG[kind]
         summary[f"bias_{tag}"] = float(np.mean(est)) - truth
         summary[f"mse_{tag}"] = float(np.mean((est - truth) ** 2))
-        summary[f"mc_se_{tag}"] = float(np.std(est, ddof=1)) / np.sqrt(reps) if reps > 1 else 0.0
+        summary[f"mc_se_{tag}"] = float(np.std(est, ddof=1)) / math.sqrt(reps) if reps > 1 else 0.0
     return SimResult(cell=cell, truth=float(truth), **summary)
 
 

@@ -1,6 +1,9 @@
 """Monte Carlo harness: stream contract, determinism, grids, tables."""
 
+import dataclasses
+import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +31,9 @@ from gimtools import (
     run_grid,
     theoretical_gim,
 )
+from gimtools import simulation
+from gimtools.distributions import fill_stream_rows
+from gimtools.measures import _BLOCK
 
 
 def hand_run(cell):
@@ -70,12 +76,68 @@ def test_run_cell_single_replication():
 
 
 def test_run_cell_crosses_chunk_boundary():
-    """Work is batched internally; replication indexing must survive the
-    batch edge (batch size 512)."""
-    cell = SimCell(Exponential(2.0), n=8, v=2, replications=513, base_seed=77)
+    """Work is batched in chunks of _BLOCK // n rows (at least one);
+    replication indexing and every summary bit must survive the chunk edge."""
+    edges = [
+        # one row past the first chunk
+        (SimCell(Exponential(2.0), n=8, v=2, replications=_BLOCK // 8 + 1, base_seed=77),
+         [_BLOCK // 8, 1]),
+        # n does not divide _BLOCK: 5 rows per chunk
+        (SimCell(Pareto(3.0, 1.0), n=3000, v=2, replications=11, base_seed=21), [5, 5, 1]),
+        # past one block, a chunk is a single row
+        (SimCell(Exponential(1.0), n=_BLOCK + 1, v=3, replications=3, base_seed=4), [1, 1, 1]),
+        (SimCell(Lognormal(0.0, 1.0), n=200, v=3, replications=_BLOCK // 200 + 1, base_seed=8),
+         [_BLOCK // 200, 1]),
+    ]
+    for cell, rows in edges:
+        chunks = []
+
+        def spy(out, seed, first):
+            chunks.append(len(out))
+            return fill_stream_rows(out, seed, first)
+
+        with mock.patch.object(simulation, "fill_stream_rows", spy):
+            res = run_cell(cell)
+        assert chunks == rows
+        truth = theoretical_gim(cell.dist, cell.v)
+        for tag, est in zip(("u", "edf"), hand_run(cell)):
+            assert getattr(res, f"bias_{tag}") == float(np.mean(est)) - truth
+            assert getattr(res, f"mse_{tag}") == float(np.mean((est - truth) ** 2))
+            mc_se = float(np.std(est, ddof=1)) / math.sqrt(cell.replications)
+            assert getattr(res, f"mc_se_{tag}") == mc_se
+
+
+@pytest.mark.parametrize("dist", [Lognormal(0.0, 1.0), Pareto(3.0, 1.0)], ids=lambda d: d.name)
+def test_run_cell_working_set_is_bounded_by_the_cache_block(dist):
+    """A chunk holds at most _BLOCK draws, so a cell of 600 samples of 4000
+    peaks at a few MB of traced memory, not at hundreds of per-draw rows
+    (chunks of 512 rows peaked at 140 MB on the lognormal, 49 MB on the
+    Pareto)."""
+    import tracemalloc
+
+    cell = SimCell(dist, n=4000, v=2, replications=600, base_seed=3)
+    theoretical_gim(cell.dist, cell.v)  # the truth first, outside the trace
+    tracemalloc.start()
+    try:
+        run_cell(cell)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("reps", [1, 50])
+def test_sim_result_numbers_are_python_floats(reps):
+    """Every summary number is a plain float (no np.float64 in the repr), and
+    the table prints the same bytes as from numpy scalars of the same value."""
+    cell = SimCell(Lognormal(0.0, 1.0), n=20, v=3, replications=reps, base_seed=6)
     res = run_cell(cell)
-    est_u, _ = hand_run(cell)
-    assert_allclose(res.bias_u, est_u.mean() - res.truth, atol=1e-12)
+    numbers = [f.name for f in dataclasses.fields(res) if f.name != "cell"]
+    assert numbers and all(type(getattr(res, name)) is float for name in numbers)
+    assert "np." not in repr(res)
+    as_numpy = dataclasses.replace(res, **{name: np.float64(getattr(res, name)) for name in numbers})
+    for format in ("csv", "md"):
+        assert emit_table([res], format) == emit_table([as_numpy], format)
 
 
 def test_run_cell_deterministic_across_runs_and_workers():
