@@ -17,7 +17,11 @@ quadrature of the quantile-domain integrals
     E min_v = v * int_0^1 Q(u) (1-u)^(v-1) du,
 
 on the endpoint-graded panels of :mod:`gimtools.quadrature` (heavy tails
-make the integrand blow up at u -> 1; the grading absorbs that).
+make the integrand blow up at u -> 1; the grading absorbs that).  A
+member's Q and Q' on the nodes of one mesh depth are computed once and
+cached (:func:`_on_mesh`): every order v, and the numerator variance of
+:mod:`gimtools.inference`, reads the same array, so a profile over many
+orders evaluates the quantile once per depth, not once per order.
 
 numpy is the only runtime dependency.  The lognormal's normal quantile is a
 numpy port of the Cephes ``ndtri`` rational approximations (the algorithm
@@ -27,6 +31,7 @@ behind ``scipy.special.ndtri``), and its normal cdf takes ``math.erf`` /
 
 import math
 from dataclasses import dataclass, fields, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -66,29 +71,44 @@ class SeededStream:
 def fill_stream_rows(out, seed, first):
     """Fill each row j of the 2-D array ``out`` from stream (seed, first + j).
 
-    Row j is bit for bit ``SeededStream(seed, first + j).generator().random(n)``.
-    Philox is counter-based, so a fresh stream is fully described by its key
-    and a zero counter: one generator is built and then re-keyed for each
-    row, instead of constructing a generator per stream.  The re-key assigns
-    the public ``bit_generator.state`` from a template whose ``counter``,
-    ``key`` and ``buffer`` are lists of Python ints rather than the numpy
-    arrays numpy hands out; the setter reads those about 2.5x faster, so a
-    row costs about 0.5 us of re-key plus the ``random`` call itself (about
-    0.7 us plus 7.5 ns per double).  Returns ``out``.
+    Row j is bit for bit ``SeededStream(seed, first + j).generator().random(n)``;
+    one generator, re-keyed per row, serves them all (see :func:`_stream_rows`).
+    Returns ``out``.
     """
-    rng = SeededStream(seed, first).generator()
-    if len(out):  # the last row's stream id must fit the 64-bit key too
-        check_integer(int(first) + len(out) - 1, "last stream_id", InvalidArgument, 0, 1 << 64)
+    return _stream_rows(SeededStream(seed, first))(out, first)
+
+
+def _stream_rows(stream):
+    """``fill(out, first)``: :func:`fill_stream_rows` of ``stream.seed`` on one generator.
+
+    Philox is counter-based, so a fresh stream is fully described by its key
+    and a zero counter: one generator is built here and then re-keyed for
+    each row, instead of constructing a generator per stream.  The re-key
+    assigns the public ``bit_generator.state`` from a template whose
+    ``counter``, ``key`` and ``buffer`` are lists of Python ints rather than
+    the numpy arrays numpy hands out; the setter reads those about 2.5x
+    faster, so a row costs about 0.5 us of re-key plus the ``random`` call
+    itself (about 0.7 us plus 7.5 ns per double).  Building the generator
+    and its template costs about 16 us, paid here once rather than per
+    ``fill`` call: a Monte Carlo cell keeps one ``fill`` for all its chunks.
+    """
+    rng = stream.generator()
     state = rng.bit_generator.state  # fresh: zero counter, empty buffer
     state["state"] = {name: words.tolist() for name, words in state["state"].items()}
     state["buffer"] = state["buffer"].tolist()
     key = state["state"]["key"]
     bit_generator, random = rng.bit_generator, rng.random
-    for j, row in enumerate(out):
-        key[1] = first + j
-        bit_generator.state = state
-        random(out=row)
-    return out
+
+    def fill(out, first):
+        if len(out):  # the last row's stream id must fit the 64-bit key too
+            check_integer(int(first) + len(out) - 1, "last stream_id", InvalidArgument, 0, 1 << 64)
+        for j, row in enumerate(out):
+            key[1] = first + j
+            bit_generator.state = state
+            random(out=row)
+        return out
+
+    return fill
 
 
 class Distribution:
@@ -97,9 +117,11 @@ class Distribution:
     A family is its dataclass parameters plus its math: ``_cdf(x)`` and
     ``_pdf(x)`` on float arrays, ``_q(u, cu)`` (the quantile evaluated
     stably from both u and its complement) and ``_qd(u, cu)`` (the quantile
-    density Q'(u) = 1/f(Q(u))), and, where one exists,
-    ``_closed_extremes(v)``.  This class owns the parameter check, the
-    argument contract of the public methods and the ``params_label``.
+    density Q'(u) = 1/f(Q(u))), ``_times_scale(x)`` (x times the scale c
+    of the member, whose Q is c times its unit-scale member's; ``inf`` past
+    the float range) and, where one exists, ``_closed_extremes(v)``.  This
+    class owns the parameter check, the argument contract of the public
+    methods and the ``params_label``.
     """
 
     name = "?"
@@ -183,6 +205,9 @@ class Exponential(Distribution):
     def _qd(self, u, cu):
         return 1.0 / (self.rate * cu)
 
+    def _times_scale(self, x):
+        return x / self.rate
+
     def mean(self):
         return 1.0 / self.rate
 
@@ -219,6 +244,9 @@ class Pareto(Distribution):
 
     def _qd(self, u, cu):
         return (self.scale / self.shape) * cu ** (-1.0 - 1.0 / self.shape)
+
+    def _times_scale(self, x):
+        return x * self.scale
 
     def mean(self):
         return self.shape * self.scale / (self.shape - 1.0)
@@ -393,6 +421,12 @@ class Lognormal(Distribution):
         # Q'(u) = sdlog * Q(u) / phi(z) with phi the standard normal density
         return self.sdlog * _SQRT_2PI * np.exp(self.meanlog + self.sdlog * z + 0.5 * z * z)
 
+    def _times_scale(self, x):
+        try:
+            return x * math.exp(self.meanlog)
+        except OverflowError:  # past the float range
+            return x * math.inf
+
     def mean(self):
         try:
             return math.exp(self.meanlog + 0.5 * self.sdlog**2)
@@ -457,17 +491,38 @@ def draw_sample(dist, n, stream):
     return IncomeSample(inverse_transform(dist, stream.generator().random(n)))
 
 
+# The theory-profile benchmark's population values (theoretical_gim at
+# v = 2..12 on six families, the numerator variance at v = 2..4 on five)
+# make 209 evaluations on 37 distinct keys.  Median time of that task list
+# over 20 fresh processes each, on one Xeon core: 56 ms uncached; bound 8:
+# 50 ms, 16: 42 ms, 32: 36 ms, 64: 33 ms, unbounded: 33 ms.  A depth-900
+# mesh is 21,600 nodes (173 KB), so 64 entries cap the cache near 11 MB
+@lru_cache(maxsize=64)
+def _on_mesh(member, name, levels):
+    """``member``'s ``name`` (``"_q"`` or ``"_qd"``) on the nodes of ``quadrature.mesh(levels)``.
+
+    Cached and read-only.  Members are frozen dataclasses that hash by value,
+    so every order of one family, and every call on an equal member, shares
+    one array per depth.  The method is looked up on the instance, so a
+    wrapper set on the class sees each miss.  Only mesh nodes come through
+    here: sampling transforms uniforms of its own and sorts the result in
+    place.
+    """
+    m = quadrature.mesh(levels)
+    return quadrature._frozen(getattr(member, name)(m.u, m.cu))[0]
+
+
 def _extremes_by_quadrature(dist, v):
     """Quantile-domain quadrature for (E max_v, E min_v) to 1e-8 relative."""
 
-    def integrands(u, cu):
-        q = dist._q(u, cu)  # once per rung, shared by both integrals
-        return np.stack((q * u ** (v - 1), q * cu ** (v - 1)))
+    def rung(levels):
+        q = _on_mesh(dist, "_q", levels)  # shared by both integrals and every order
+        return quadrature.integrate_graded(
+            lambda u, cu: np.stack((q * u ** (v - 1), q * cu ** (v - 1))), levels
+        )
 
     # ladder the two integrals together: refine until both are stable
-    e_max, e_min = quadrature.converge(
-        lambda levels: quadrature.integrate_graded(integrands, levels), rtol=1e-8
-    )
+    e_max, e_min = quadrature.converge(rung, rtol=1e-8)
     return v * float(e_max), v * float(e_min)
 
 

@@ -15,8 +15,10 @@ normal for both estimators.  This module provides:
   loaded), computed once per level;
 * ``edf_numerator_variance`` — the asymptotic variance of the sqrt(n)-scaled
   plug-in numerator, evaluated by graded quadrature of its covariance
-  double integral; its inner integral within a panel comes from the panel's
-  own nodes through the Gauss-Legendre integration matrix.
+  double integral on the family's unit-scale member, then scaled back; its
+  inner integral within a panel comes from the panel's own nodes through
+  the Gauss-Legendre integration matrix, and Q' on the mesh comes from the
+  cache that the population values share.
 
 The plug-in ratio variance carries no covariance correction between the
 numerator and denominator statistics, and measurably overstates the
@@ -44,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import quadrature
-from .distributions import _ndtri_lower
+from .distributions import _ndtri_lower, _on_mesh
 from .errors import InvalidArgument, InvalidLevel, InvalidStdError, SampleTooSmall, ZeroMean
 from .measures import (_BLOCK, _check_order, _powers, _unscale, _ustat_sums, extreme_sums,
                        extreme_weights, gim_ratio)
@@ -393,7 +395,7 @@ def _edf_numerator_variance_at(dist, v, levels):
     are accumulated in panel order by ``np.cumsum``.
     """
     m = quadrature.mesh(levels)
-    f = (m.u ** (v - 1) - m.cu ** (v - 1)) * dist._qd(m.u, m.cu)
+    f = (m.u ** (v - 1) - m.cu ** (v - 1)) * _on_mesh(dist, "_qd", levels)
     g = m.u * f
     # int of u Phi(u) du from the panel's left edge to each node, one
     # matrix-vector product per panel: a matrix-matrix product over all
@@ -416,6 +418,13 @@ def edf_numerator_variance(dist, v):
     Exact benchmarks: 4/3 for the unit exponential at v = 2, three times
     that at v = 3, and 363/175 for Pareto(shape 3, scale 1) at v = 2.
 
+    The integral runs on the family's unit-scale member (rate 1, scale 1 or
+    meanlog 0), and the result is multiplied by the member's scale squared:
+    the variance is quadratic in Q', and Q' is the scale times the unit
+    member's.  So a scale near the float range's edges neither loses digits
+    in the integrand nor stops the ladder, and a variance past the float
+    range reads ``inf`` without a warning.
+
     Heavy tails slow the ladder down (the integrand's endpoint singularity
     sharpens as the Pareto shape approaches 2); shapes much below 2.5 may
     exhaust the ladder and raise rather than return a bad number.
@@ -423,6 +432,8 @@ def edf_numerator_variance(dist, v):
     v = _check_order(v)
     if v == 1:
         return 0.0
-    return quadrature.converge(
-        lambda levels: _edf_numerator_variance_at(dist, v, levels), rtol=1e-6
+    unit = dist._unit_member()
+    variance = quadrature.converge(
+        lambda levels: _edf_numerator_variance_at(unit, v, levels), rtol=1e-6
     )
+    return dist._times_scale(dist._times_scale(variance))

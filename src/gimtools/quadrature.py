@@ -30,7 +30,9 @@ the array's shape, and only the order of the additions could move the bits.
 
 :func:`integration_matrix` integrates a panel's interpolant from its left
 edge to each of its own nodes, so a partial-panel integral needs no second
-node set.  Every cached array is read-only.
+node set.  Every cached array is read-only.  Because a depth's nodes never
+change, :mod:`gimtools.distributions` caches a family member's quantile
+values on them too, once per depth for every integrand and order.
 """
 
 from functools import lru_cache

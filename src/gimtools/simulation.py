@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import FAMILIES, fill_stream_rows, inverse_transform, theoretical_gim
+from .distributions import FAMILIES, SeededStream, _stream_rows, inverse_transform, theoretical_gim
 from .errors import EmptyGrid, InvalidArgument, ParseError, SampleTooSmall, check_integer
 from .measures import _BLOCK, KINDS, _check_order, extreme_sums, extreme_weights, gim_ratio
 
@@ -70,7 +70,9 @@ def run_cell(cell):
 
     Replications run in chunks, in index order, on the calling thread;
     replication r draws from the stream (cell.base_seed, r), through the
-    family's unit-scale member, since the estimates are scale-free.  A chunk
+    family's unit-scale member, since the estimates are scale-free.  The
+    cell builds one Philox generator and re-keys it for every replication
+    of every chunk (see ``distributions._stream_rows``).  A chunk
     holds at most one cache block (``measures._BLOCK`` = 16384 values) of
     draws, or a single replication once n exceeds 16384, so the uniform,
     quantile, sort and sum buffers do not grow with the replication count.
@@ -90,10 +92,11 @@ def run_cell(cell):
 
     reps = cell.replications
     chunk = max(1, _BLOCK // cell.n)
+    fill = _stream_rows(SeededStream(cell.base_seed))  # one generator per cell
     estimates = np.empty((len(KINDS), reps))  # one row per estimator kind
     for lo in range(0, reps, chunk):
         hi = min(lo + chunk, reps)
-        uniforms = fill_stream_rows(np.empty((hi - lo, cell.n)), cell.base_seed, lo)
+        uniforms = fill(np.empty((hi - lo, cell.n)), lo)
         x = inverse_transform(unit, uniforms)
         for est, (w_hi, w_lo) in zip(estimates, weights):
             e_max, e_min, _ = extreme_sums(x, w_hi, w_lo, cell.v)

@@ -4,6 +4,7 @@ import math
 import re
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,13 +25,15 @@ from gimtools import (
     SampleTooSmall,
     SeededStream,
     draw_sample,
+    edf_numerator_variance,
     gim_ustat,
     jackknife_variance,
     make_sample,
     theoretical_extremes,
     theoretical_gim,
 )
-from gimtools.distributions import FAMILIES, _ndtr, _ndtri_lower, fill_stream_rows
+from gimtools import quadrature
+from gimtools.distributions import FAMILIES, _ndtr, _ndtri_lower, _on_mesh, fill_stream_rows
 
 ALL_DISTS = [Exponential(1.0), Exponential(0.25), Pareto(3.0, 1.0), Pareto(1.7, 2.0), Lognormal(0.0, 1.0), Lognormal(1.0, 0.5)]
 
@@ -492,3 +495,74 @@ def test_large_sample_estimate_matches_theory(dist):
         est = gim_ustat(s, v)
         se = jackknife_variance(s, v).std_error
         assert abs(est.value - theoretical_gim(dist, v)) < 4.0 * se
+
+
+# ---------------------------------------------------------------------------
+# quantile values on the mesh, shared across orders
+
+
+def _depths_of_calls(cls, name):
+    """A spy on ``cls.name`` and the list of mesh depths it was called on."""
+    depths = []
+    original = getattr(cls, name)
+
+    def spy(self, u, cu):
+        depths.append(len(u) // 2)  # a depth-L mesh has 2L panels, one per row
+        return original(self, u, cu)
+
+    return mock.patch.object(cls, name, spy), depths
+
+
+def test_population_values_evaluate_the_quantile_once_per_depth():
+    _on_mesh.cache_clear()
+    patch, depths = _depths_of_calls(Lognormal, "_q")
+    with patch:
+        shared = [theoretical_gim(Lognormal(0.0, 1.0), v) for v in range(3, 13)]
+    # one call per depth, the ladder's depths from 6 on, not one per order
+    assert depths == [6 * 2**k for k in range(len(depths))]
+    alone = []
+    for v in range(3, 13):
+        _on_mesh.cache_clear()
+        alone.append(theoretical_gim(Lognormal(0.0, 1.0), v))
+    assert shared == alone
+
+
+def test_numerator_variances_evaluate_the_quantile_density_once_per_depth():
+    _on_mesh.cache_clear()
+    patch, depths = _depths_of_calls(Lognormal, "_qd")
+    with patch:
+        shared = [edf_numerator_variance(Lognormal(0.0, 1.0), v) for v in (2, 3, 4)]
+    assert depths == [6 * 2**k for k in range(len(depths))]
+    alone = []
+    for v in (2, 3, 4):
+        _on_mesh.cache_clear()
+        alone.append(edf_numerator_variance(Lognormal(0.0, 1.0), v))
+    assert shared == alone
+
+
+def test_cached_quantile_values_are_read_only():
+    q = _on_mesh(Pareto(3.0, 1.0), "_q", 6)
+    assert not q.flags.writeable
+    with pytest.raises(ValueError):
+        q[0, 0] = 0.0
+    m = quadrature.mesh(6)
+    assert np.array_equal(q, Pareto(3.0, 1.0)._q(m.u, m.cu))
+
+
+def test_cache_keys_on_the_member_by_value():
+    _on_mesh.cache_clear()
+    narrow = _on_mesh(Lognormal(0.0, 0.5), "_q", 6)
+    wide = _on_mesh(Lognormal(0.0, 1.0), "_q", 6)
+    assert not np.array_equal(narrow, wide)
+    assert _on_mesh(Pareto(3, 1), "_q", 6) is _on_mesh(Pareto(3.0, 1.0), "_q", 6)
+    assert _on_mesh.cache_info().misses == 3
+
+
+def test_sampling_does_not_share_the_mesh_values():
+    # inverse_transform sorts its quantile values in place: a draw must
+    # neither read nor write a cached array
+    _on_mesh.cache_clear()
+    fresh = draw_sample(Lognormal(0.0, 1.0), 500, SeededStream(9, 0)).values
+    value = theoretical_gim(Lognormal(0.0, 1.0), 4)
+    assert np.array_equal(draw_sample(Lognormal(0.0, 1.0), 500, SeededStream(9, 0)).values, fresh)
+    assert theoretical_gim(Lognormal(0.0, 1.0), 4) == value

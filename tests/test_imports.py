@@ -1,5 +1,8 @@
 """Import discipline: no gimtools path loads scipy, Lognormal included.
 
+A bare ``import gimtools`` leaves ``numpy.random`` and ``numpy.polynomial``
+unloaded as well: sampling and the Gauss-Legendre rule load them on first use.
+
 Nor does any path load ``statistics``, ``fractions`` or ``decimal``: the
 normal quantile behind intervals is the library's own, and those modules
 would add several milliseconds to every cold ``import gimtools``.  The test
@@ -25,6 +28,8 @@ SCRIPT = textwrap.dedent(
 
     import gimtools
     clean("import gimtools")
+    for name in ("numpy.random", "numpy.polynomial"):  # loaded on first use
+        assert name not in sys.modules, f"{name} loaded by import gimtools"
 
     from gimtools import (
         Exponential, Lognormal, Pareto, SeededStream, draw_sample,

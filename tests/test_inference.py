@@ -1,6 +1,7 @@
 """Variance machinery: projection plug-in, jackknife, intervals, sigma2."""
 
 import math
+import random
 import warnings
 from fractions import Fraction
 
@@ -38,7 +39,7 @@ from gimtools import (
     ustat_variance,
 )
 from gimtools import inference, quadrature
-from gimtools.distributions import _MIN_UNIFORM
+from gimtools.distributions import _MIN_UNIFORM, _on_mesh
 from gimtools.inference import _edf_numerator_variance_at
 from gimtools.measures import _BLOCK, extreme_weights, gim_ratio, subset_weights
 
@@ -564,10 +565,44 @@ def test_sigma2_lognormal_regression():
 
 
 def test_sigma2_scales_quadratically():
+    # the unit-scale member's value times the scale squared: exact for a
+    # power-of-two scale
     base = edf_numerator_variance(Exponential(1.0), 2)
-    assert_allclose(edf_numerator_variance(Exponential(4.0), 2), base / 16.0, rtol=1e-9)
+    assert edf_numerator_variance(Exponential(4.0), 2) == base / 16.0
     p = edf_numerator_variance(Pareto(3.0, 1.0), 2)
-    assert_allclose(edf_numerator_variance(Pareto(3.0, 5.0), 2), 25.0 * p, rtol=1e-9)
+    assert edf_numerator_variance(Pareto(3.0, 2.0), 2) == 4.0 * p
+    assert_allclose(edf_numerator_variance(Pareto(3.0, 5.0), 2), 25.0 * p, rtol=1e-15)
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e150])
+def test_sigma2_keeps_its_digits_at_extreme_scales(scale):
+    # the integral runs at unit scale; only the final product sees the scale
+    assert_allclose(edf_numerator_variance(Pareto(3.0, scale), 2), 363.0 / 175.0 * scale**2, rtol=1e-12)
+    assert_allclose(edf_numerator_variance(Exponential(1.0 / scale), 2), 4.0 / 3.0 * scale**2, rtol=1e-12)
+
+
+def test_sigma2_near_and_past_the_float_range():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # subnormal results: within a few units of the subnormal spacing
+        assert abs(edf_numerator_variance(Pareto(3.0, 1e-160), 2) - 363.0 / 175.0 * 1e-320) < 1e-322
+        assert abs(edf_numerator_variance(Exponential(1e160), 2) - 4.0 / 3.0 * 1e-320) < 1e-322
+        # 363/175 * 1e308 is past the float maximum
+        assert edf_numerator_variance(Pareto(3.0, 1e154), 2) == math.inf
+        assert edf_numerator_variance(Lognormal(800.0, 1.0), 2) == math.inf
+        assert edf_numerator_variance(Lognormal(-800.0, 1.0), 2) == 0.0
+
+
+def test_sigma2_scaled_members_share_the_unit_members_values():
+    _on_mesh.cache_clear()
+    edf_numerator_variance(Lognormal(0.0, 1.0), 2)
+    misses = _on_mesh.cache_info().misses
+    assert_allclose(
+        edf_numerator_variance(Lognormal(2.0, 1.0), 2),
+        math.exp(4.0) * edf_numerator_variance(Lognormal(0.0, 1.0), 2),
+        rtol=1e-14,
+    )
+    assert _on_mesh.cache_info().misses == misses
 
 
 def test_sigma2_v1_is_zero():
@@ -585,6 +620,25 @@ def test_sigma2_heavy_tail_raises_without_numpy_warnings():
 
 # theory-profile's population variance tasks
 SIGMA2_DISTS = [Exponential(1.0), Pareto(3.0, 1.0), Pareto(2.5, 1.0), Lognormal(0.0, 0.5), Lognormal(0.0, 1.0)]
+# and its GIM(v) tasks, at v = 2..12
+THEORY_GIM_DISTS = [Lognormal(0.0, 0.5), Lognormal(0.0, 1.0), Lognormal(0.0, 1.5),
+                    Pareto(3.0, 1.0), Pareto(1.8, 1.0), Exponential(1.0)]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_population_values_miss_once_per_member_function_and_depth(seed):
+    tasks = [(theoretical_gim, dist, v) for dist in THEORY_GIM_DISTS for v in range(2, 13)]
+    tasks += [(edf_numerator_variance, dist, v) for dist in SIGMA2_DISTS for v in (2, 3, 4)]
+    random.Random(seed).shuffle(tasks)
+    _on_mesh.cache_clear()
+    shared = [value(dist, v) for value, dist, v in tasks]
+    info = _on_mesh.cache_info()
+    assert (info.misses, info.hits) == (37, 172)
+    alone = []
+    for value, dist, v in tasks:
+        _on_mesh.cache_clear()
+        alone.append(value(dist, v))
+    assert shared == alone
 
 
 def _edf_numerator_variance_loop(dist, v, levels):

@@ -32,7 +32,7 @@ from gimtools import (
     theoretical_gim,
 )
 from gimtools import simulation
-from gimtools.distributions import fill_stream_rows
+from gimtools.distributions import _stream_rows
 from gimtools.measures import _BLOCK
 
 
@@ -90,14 +90,21 @@ def test_run_cell_crosses_chunk_boundary():
          [_BLOCK // 200, 1]),
     ]
     for cell, rows in edges:
-        chunks = []
+        streams, chunks = [], []
 
-        def spy(out, seed, first):
-            chunks.append(len(out))
-            return fill_stream_rows(out, seed, first)
+        def spy(stream):
+            streams.append(stream)
+            fill = _stream_rows(stream)
 
-        with mock.patch.object(simulation, "fill_stream_rows", spy):
+            def counted(out, first):
+                chunks.append(len(out))
+                return fill(out, first)
+
+            return counted
+
+        with mock.patch.object(simulation, "_stream_rows", spy):
             res = run_cell(cell)
+        assert streams == [SeededStream(cell.base_seed)]  # one generator per cell
         assert chunks == rows
         truth = theoretical_gim(cell.dist, cell.v)
         for tag, est in zip(("u", "edf"), hand_run(cell)):
