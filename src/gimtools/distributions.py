@@ -119,8 +119,10 @@ class Distribution:
     stably from both u and its complement) and ``_qd(u, cu)`` (the quantile
     density Q'(u) = 1/f(Q(u))), ``_times_scale(x)`` (x times the scale c
     of the member, whose Q is c times its unit-scale member's; ``inf`` past
-    the float range) and, where one exists, ``_closed_extremes(v)``.  This
-    class owns the parameter check, the argument contract of the public
+    the float range), ``_unit_qd_size()`` (the factor that sets the size of
+    the unit-scale member's Q': 1, 1/shape or sdlog) and, where one exists,
+    ``_closed_extremes(v)``.  This class owns the parameter check, the
+    argument contract of the public
     methods and the ``params_label``.
     """
 
@@ -208,6 +210,9 @@ class Exponential(Distribution):
     def _times_scale(self, x):
         return x / self.rate
 
+    def _unit_qd_size(self):
+        return 1.0
+
     def mean(self):
         return 1.0 / self.rate
 
@@ -247,6 +252,9 @@ class Pareto(Distribution):
 
     def _times_scale(self, x):
         return x * self.scale
+
+    def _unit_qd_size(self):
+        return 1.0 / self.shape
 
     def mean(self):
         return self.shape * self.scale / (self.shape - 1.0)
@@ -426,6 +434,9 @@ class Lognormal(Distribution):
             return x * math.exp(self.meanlog)
         except OverflowError:  # past the float range
             return x * math.inf
+
+    def _unit_qd_size(self):
+        return self.sdlog
 
     def mean(self):
         try:

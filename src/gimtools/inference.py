@@ -376,7 +376,7 @@ def confidence_interval(point, ve, level=0.95):
     return replace(ve, level=level, ci_low=low, ci_high=high)
 
 
-def _edf_numerator_variance_at(dist, v, levels):
+def _edf_numerator_variance_at(dist, v, levels, lift):
     """Fixed-depth evaluation of the numerator covariance double integral.
 
     The sqrt(n)-scaled plug-in numerator has limiting variance
@@ -392,10 +392,11 @@ def _edf_numerator_variance_at(dist, v, levels):
     mesh.  Off-diagonal panel pairs separate into products (one prefix
     accumulator); within a panel, :func:`~gimtools.quadrature.integration_matrix`
     gives the inner integral from the panel's own nodes.  The per-panel sums
-    are accumulated in panel order by ``np.cumsum``.
+    are accumulated in panel order by ``np.cumsum``.  Phi is taken times
+    2**lift, exactly, and so the value times 4**lift.
     """
     m = quadrature.mesh(levels)
-    f = (m.u ** (v - 1) - m.cu ** (v - 1)) * _on_mesh(dist, "_qd", levels)
+    f = np.ldexp((m.u ** (v - 1) - m.cu ** (v - 1)) * _on_mesh(dist, "_qd", levels), lift)
     g = m.u * f
     # int of u Phi(u) du from the panel's left edge to each node, one
     # matrix-vector product per panel: a matrix-matrix product over all
@@ -423,7 +424,14 @@ def edf_numerator_variance(dist, v):
     the variance is quadratic in Q', and Q' is the scale times the unit
     member's.  So a scale near the float range's edges neither loses digits
     in the integrand nor stops the ladder, and a variance past the float
-    range reads ``inf`` without a warning.
+    range reads ``inf`` without a warning.  Likewise Phi is lifted by the
+    power of two that brings the size of the unit member's Q' (1, 1/shape
+    or sdlog) to at least 1/2, one exponent for the whole ladder, which the
+    result sheds after convergence.  A lift only scales by a power of two,
+    so a member whose unlifted ladder stays out of the subnormals keeps its
+    bits, while a tiny sdlog or 1/shape keeps its digits down to the
+    subnormal spacing and reads 0.0, not a ladder of zeros, once the
+    variance falls below it.
 
     Heavy tails slow the ladder down (the integrand's endpoint singularity
     sharpens as the Pareto shape approaches 2); shapes much below 2.5 may
@@ -433,7 +441,16 @@ def edf_numerator_variance(dist, v):
     if v == 1:
         return 0.0
     unit = dist._unit_member()
+    # Phi is linear in Q' and the variance quadratic; a lift never lowers
+    # Phi, so no term that the unlifted ladder keeps normal turns subnormal
+    lift = max(0, -math.frexp(unit._unit_qd_size())[1])
     variance = quadrature.converge(
-        lambda levels: _edf_numerator_variance_at(unit, v, levels), rtol=1e-6
+        lambda levels: _edf_numerator_variance_at(unit, v, levels, lift), rtol=1e-6
     )
-    return dist._times_scale(dist._times_scale(variance))
+    # shed last, the result rounds once (a subnormal variance of meanlog 5);
+    # past the float range with the lift on, each half is shed before a
+    # factor of the scale multiplies it, so no step overflows early
+    scaled = dist._times_scale(dist._times_scale(variance))
+    if math.isfinite(scaled):
+        return math.ldexp(scaled, -2 * lift)
+    return dist._times_scale(math.ldexp(dist._times_scale(math.ldexp(variance, -lift)), -lift))

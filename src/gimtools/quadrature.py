@@ -30,9 +30,13 @@ the array's shape, and only the order of the additions could move the bits.
 
 :func:`integration_matrix` integrates a panel's interpolant from its left
 edge to each of its own nodes, so a partial-panel integral needs no second
-node set.  Every cached array is read-only.  Because a depth's nodes never
-change, :mod:`gimtools.distributions` caches a family member's quantile
-values on them too, once per depth for every integrand and order.
+node set.  The rule of :func:`unit_rule` and the matrix are float literals
+of :mod:`gimtools._gauss_legendre`, generated once with
+``numpy.polynomial.legendre`` and imported on first use: no population value
+imports that package or calls LAPACK.  Every cached array is read-only.
+Because a depth's nodes never change, :mod:`gimtools.distributions` caches a
+family member's quantile values on them too, once per depth for every
+integrand and order.
 """
 
 from functools import lru_cache
@@ -57,9 +61,14 @@ def _frozen(*arrays):
 
 @lru_cache(maxsize=None)
 def unit_rule():
-    """Gauss-Legendre nodes/weights of order GL_ORDER mapped to (0, 1), read-only."""
-    nodes, weights = np.polynomial.legendre.leggauss(GL_ORDER)
-    return _frozen((nodes + 1.0) / 2.0, weights / 2.0)
+    """Gauss-Legendre nodes and weights of order GL_ORDER on (0, 1), read-only.
+
+    Built on first use from the literals of :mod:`gimtools._gauss_legendre`,
+    and the same two arrays ever after.
+    """
+    from ._gauss_legendre import NODES, WEIGHTS  # compiled on first use, not on import
+
+    return _frozen(np.array(NODES), np.array(WEIGHTS))
 
 
 @lru_cache(maxsize=None)
@@ -68,12 +77,14 @@ def integration_matrix():
 
     For the node values g of a panel of width h, ``h * (S @ g)[k]`` integrates
     their degree GL_ORDER - 1 interpolant from the panel's left edge to node k.
+    Built on first use from the literals of :mod:`gimtools._gauss_legendre`,
+    in Fortran order: the batched ``S @ g`` adds its products in an order that
+    follows the layout, and the values of
+    :func:`gimtools.inference.edf_numerator_variance` were fixed in this one.
     """
-    legendre = np.polynomial.legendre  # loaded on first use, not on import
-    nodes, _ = legendre.leggauss(GL_ORDER)
-    # column j: node j's basis polynomial in Legendre coefficients on (-1, 1)
-    basis = np.linalg.inv(legendre.legvander(nodes, GL_ORDER - 1))
-    return _frozen(legendre.legval(nodes, legendre.legint(basis, lbnd=-1)).T / 2.0)[0]
+    from ._gauss_legendre import S
+
+    return _frozen(np.array(S, order="F"))[0]
 
 
 def graded_panels(levels):

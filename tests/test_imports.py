@@ -1,7 +1,11 @@
 """Import discipline: no gimtools path loads scipy, Lognormal included.
 
-A bare ``import gimtools`` leaves ``numpy.random`` and ``numpy.polynomial``
-unloaded as well: sampling and the Gauss-Legendre rule load them on first use.
+A bare ``import gimtools`` leaves ``numpy.random`` unloaded as well: sampling
+loads it on first use.  No path loads ``numpy.polynomial`` or calls into
+``numpy.linalg``: the Gauss-Legendre rule and its integration matrix are
+float literals of ``gimtools._gauss_legendre``, itself loaded on the first
+population value (a quadrature ``theoretical_gim``, a numerator variance,
+the truth of a simulation cell).
 
 Nor does any path load ``statistics``, ``fractions`` or ``decimal``: the
 normal quantile behind intervals is the library's own, and those modules
@@ -16,26 +20,34 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
+
 import gimtools
+from gimtools import Lognormal, SimCell, distributions, edf_numerator_variance, quadrature, run_cell, theoretical_gim
 
 SCRIPT = textwrap.dedent(
     """
     import sys
 
     def clean(step):
-        for name in ("scipy", "statistics", "fractions", "decimal"):
+        for name in ("scipy", "statistics", "fractions", "decimal", "numpy.polynomial"):
             assert name not in sys.modules, f"{name} loaded by {step}"
 
     import gimtools
     clean("import gimtools")
-    for name in ("numpy.random", "numpy.polynomial"):  # loaded on first use
+    for name in ("numpy.random", "gimtools._gauss_legendre"):  # loaded on first use
         assert name not in sys.modules, f"{name} loaded by import gimtools"
 
     from gimtools import (
-        Exponential, Lognormal, Pareto, SeededStream, draw_sample,
-        edf_numerator_variance, theoretical_gim,
+        Exponential, Lognormal, Pareto, SeededStream, SimCell, draw_sample,
+        edf_numerator_variance, run_cell, theoretical_gim,
     )
     from gimtools.cli import main
+
+    theoretical_gim(Lognormal(0.0, 1.0), 3)
+    edf_numerator_variance(Lognormal(0.0, 1.0), 2)
+    run_cell(SimCell(Lognormal(0.0, 1.0), n=20, v=3, replications=10))
+    clean("population values")
 
     csv = sys.argv[1]
     for argv in (
@@ -77,3 +89,20 @@ def test_no_library_path_loads_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.endswith("ok\n")
+
+
+def test_population_values_need_no_lapack(monkeypatch):
+    """With every cache cleared, nothing behind a population value calls LAPACK."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg called")
+
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    for cache in (quadrature.unit_rule, quadrature.integration_matrix, quadrature.mesh,
+                  distributions._on_mesh):
+        cache.cache_clear()
+    assert 0.0 < theoretical_gim(Lognormal(0.0, 1.0), 3) < 1.0
+    assert edf_numerator_variance(Lognormal(0.0, 1.0), 2) > 0.0
+    result = run_cell(SimCell(Lognormal(0.0, 1.0), n=20, v=3, replications=10))
+    assert result.truth == theoretical_gim(Lognormal(0.0, 1.0), 3)

@@ -593,6 +593,31 @@ def test_sigma2_near_and_past_the_float_range():
         assert edf_numerator_variance(Lognormal(-800.0, 1.0), 2) == 0.0
 
 
+def test_sigma2_keeps_its_digits_at_tiny_quantile_densities():
+    """Lognormal Q' is sdlog times an O(1) factor, Pareto's 1/shape times one."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sdlog in (1e-100, 1e-150, 1e-154):
+            got = edf_numerator_variance(Lognormal(0.0, sdlog), 2)
+            assert_allclose(got, 0.651006317841586 * sdlog * sdlog, rtol=1e-12)
+        # subnormal results to the subnormal spacing
+        assert abs(edf_numerator_variance(Lognormal(0.0, 1e-160), 2) - 6.51006317841586e-321) <= math.ulp(0.0)
+        assert abs(edf_numerator_variance(Lognormal(0.0, 1e-161), 2) - 6.51006317841586e-323) <= math.ulp(0.0)
+        assert abs(edf_numerator_variance(Pareto(1e160, 1.0), 2) - 4.0 / 3.0 * 1e-320) < 1e-322
+        # a scaled member rounds once, at the end
+        want = 0.651006317841586 * math.exp(10.0) * 1e-160 * 1e-160
+        assert abs(edf_numerator_variance(Lognormal(5.0, 1e-160), 2) - want) <= 2 * math.ulp(0.0)
+        assert_allclose(edf_numerator_variance(Pareto(1e100, 1e200), 2), 4.0 / 3.0 * 1e200, rtol=1e-12)
+        # a large scale on a lifted member: no step overflows before the value does
+        want = 0.651006317841586 * (1e-100 * math.exp(500.0)) ** 2
+        assert_allclose(edf_numerator_variance(Lognormal(500.0, 1e-100), 2), want, rtol=1e-12)
+        assert_allclose(edf_numerator_variance(Pareto(1e150, 1e300), 2), 4.0 / 3.0 * 1e300, rtol=1e-12)
+        # below the smallest subnormal: 0.0, not QuadratureNoConvergence
+        for sdlog in (1e-162, 1e-170, 1e-300, 5e-324):
+            assert edf_numerator_variance(Lognormal(0.0, sdlog), 3) == 0.0
+        assert edf_numerator_variance(Pareto(1e170, 1.0), 2) == 0.0
+
+
 def test_sigma2_scaled_members_share_the_unit_members_values():
     _on_mesh.cache_clear()
     edf_numerator_variance(Lognormal(0.0, 1.0), 2)
@@ -639,6 +664,25 @@ def test_population_values_miss_once_per_member_function_and_depth(seed):
         _on_mesh.cache_clear()
         alone.append(value(dist, v))
     assert shared == alone
+
+
+@pytest.mark.parametrize("dist", SIGMA2_DISTS, ids=repr)
+@pytest.mark.parametrize("v", [2, 4])
+def test_sigma2_lift_scales_a_rung_exactly(dist, v):
+    """Phi lifted by 2**lift gives the rung times 4**lift, bit for bit."""
+    for levels in (6, 24, 96):
+        plain = _edf_numerator_variance_at(dist, v, levels, 0)
+        for lift in (1, 40, 300):
+            assert _edf_numerator_variance_at(dist, v, levels, lift) == math.ldexp(plain, 2 * lift)
+
+
+@pytest.mark.parametrize("dist", SIGMA2_DISTS + [Lognormal(0.0, 0.3), Lognormal(5.0, 1e-100), Lognormal(0.0, 1e-150),
+                                  Pareto(1e100, 1.0), Pareto(7.0, 1e-150), Exponential(1e150)], ids=repr)
+def test_sigma2_lift_keeps_the_bits_of_members_in_range(dist, v=3):
+    """Where the unlifted ladder stays out of the subnormals, lifting changes no bit."""
+    unit = dist._unit_member()
+    plain = quadrature.converge(lambda levels: _edf_numerator_variance_at(unit, v, levels, 0), rtol=1e-6)
+    assert edf_numerator_variance(dist, v) == dist._times_scale(dist._times_scale(plain))
 
 
 def _edf_numerator_variance_loop(dist, v, levels):
@@ -708,7 +752,7 @@ def test_sigma2_rung_bit_identical_to_panel_loop(dist, v):
     # converge evaluates every rung with these numpy warnings silenced
     with np.errstate(over="ignore", invalid="ignore"):
         for levels in [6 * 2**k for k in range(7)]:
-            got = _edf_numerator_variance_at(dist, v, levels)
+            got = _edf_numerator_variance_at(dist, v, levels, 0)
             assert got == _edf_numerator_variance_matrix_loop(dist, v, levels)
 
 

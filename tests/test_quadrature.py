@@ -80,6 +80,32 @@ def test_integration_matrix_is_cached_and_read_only():
         s[0, 0] = 0.5
 
 
+def _within_one_ulp(got, want):
+    return np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+
+
+def test_literal_rule_and_matrix_are_the_legendre_construction():
+    """The literals against numpy.polynomial.legendre, rebuilt here, to 1 ULP."""
+    legendre = np.polynomial.legendre
+    nodes, weights = legendre.leggauss(GL_ORDER)
+    xi, wi = unit_rule()
+    assert xi.shape == wi.shape == (GL_ORDER,)
+    assert _within_one_ulp(xi, (nodes + 1.0) / 2.0)
+    assert _within_one_ulp(wi, weights / 2.0)
+    basis = np.linalg.inv(legendre.legvander(nodes, GL_ORDER - 1))
+    s = legendre.legval(nodes, legendre.legint(basis, lbnd=-1)).T / 2.0
+    assert _within_one_ulp(integration_matrix(), s)
+
+
+def test_integration_matrix_keeps_its_memory_layout():
+    # the batched S @ g of the numerator variance adds its products in an
+    # order that follows S's layout; its values were fixed in Fortran order
+    s = integration_matrix()
+    assert s.flags.f_contiguous and s.dtype == np.float64
+    for array in unit_rule():
+        assert array.flags.c_contiguous and array.dtype == np.float64
+
+
 def test_graded_panels_tile_the_unit_interval():
     panels = graded_panels(8)
     widths = [w for (_, _, w, _) in panels]
