@@ -8,9 +8,18 @@ The package estimates the generalized inequality measure
 and an empirical-distribution plug-in — plus variance/confidence-interval
 machinery, theoretical values for exponential/Pareto/lognormal families,
 a reproducible Monte Carlo bias/MSE harness, and a CSV-facing CLI (``gim``).
+
+A bare ``import gimtools`` loads the estimator core only: ``errors``,
+``samples``, ``measures``, ``quadrature``, ``distributions`` and
+``inference``, with numpy.  The CSV front end (``reporting``, with ``csv``)
+and the Monte Carlo harness (``simulation``, with ``configparser``) load on
+first access to one of their names, or to the module itself; every name of
+``__all__`` resolves either way.
 """
 
 __version__ = "0.1.0"
+
+import importlib
 
 from .distributions import (
     Exponential,
@@ -59,23 +68,29 @@ from .measures import (
     min_moment_u,
     subset_weights,
 )
-from .reporting import (
-    DescriptiveStats,
-    ReportRow,
-    describe,
-    ingest_csv,
-    report,
-)
 from .samples import IncomeSample, make_sample
-from .simulation import (
-    SimCell,
-    SimResult,
-    default_grid,
-    emit_table,
-    load_grid_config,
-    run_cell,
-    run_grid,
-)
+
+# name -> the module that defines it, imported on first access (PEP 562);
+# looked up on each access, so a name rebound in its module reads the new object
+_LAZY = {
+    **dict.fromkeys(("DescriptiveStats", "ReportRow", "describe", "ingest_csv", "report"), "reporting"),
+    **dict.fromkeys(
+        ("SimCell", "SimResult", "default_grid", "emit_table", "load_grid_config", "run_cell", "run_grid"),
+        "simulation",
+    ),
+}
+
+
+def __getattr__(name):
+    if name in _LAZY.values():
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _LAZY:
+        return getattr(__getattr__(_LAZY[name]), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_LAZY.values()})
 
 __all__ = [
     "__version__",

@@ -9,11 +9,15 @@ Subcommands::
 
 All commands exit 0 on success and nonzero with a one-line diagnostic on
 stderr otherwise.
+
+Each subcommand loads only the modules it calls: the CSV front end
+(``reporting``, with ``csv``) inside ``describe`` and ``report``, and the
+Monte Carlo harness (``simulation``, with ``configparser``) inside
+``simulate``, so ``gim report`` never loads the harness and ``gim simulate``
+never loads the CSV reader.
 """
 
 import argparse
-import csv
-import io
 import sys
 
 import numpy as np
@@ -38,8 +42,6 @@ from .measures import (
     max_moment_u,
     min_moment_u,
 )
-from .reporting import describe, ingest_csv, report
-from .simulation import default_grid, emit_table, load_grid_config, run_grid
 
 
 def _add_input_options(parser):
@@ -65,6 +67,8 @@ def _add_output_options(parser, formats):
 
 
 def _read_sample(args):
+    from .reporting import ingest_csv
+
     result = ingest_csv(
         args.input,
         column=args.column,
@@ -92,6 +96,8 @@ def _fmt(value, digits):
 
 
 def _cmd_describe(args):
+    from .reporting import describe
+
     stats = describe(_read_sample(args))
     fields = [
         ("n", str(stats.n)),
@@ -128,6 +134,8 @@ def _parse_orders(text):
 
 
 def _cmd_report(args):
+    from .reporting import report
+
     sample = _read_sample(args)
     label = args.label or args.input
     row = report(
@@ -138,6 +146,9 @@ def _cmd_report(args):
         label=label,
     )
     if args.format == "csv":
+        import csv
+        import io
+
         # csv.writer quotes a label that holds a comma, a quote or a newline
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
@@ -172,6 +183,8 @@ def _default_distributions():
 
 
 def _cmd_simulate(args):
+    from .simulation import default_grid, emit_table, load_grid_config, run_grid
+
     if args.grid:
         cells = load_grid_config(args.grid)
         if args.reps is not None or args.seed is not None:

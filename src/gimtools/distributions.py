@@ -282,6 +282,7 @@ class Pareto(Distribution):
 
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_LN2 = math.log(2.0)
 _SQRT1_2 = math.sqrt(0.5)
 
 # Cephes ndtri (S. L. Moshier) coefficients, highest power first; the Q
@@ -432,6 +433,13 @@ class Lognormal(Distribution):
     def _times_scale(self, x):
         try:
             return x * math.exp(self.meanlog)
+        except OverflowError:  # exp(meanlog) past the float range, the product maybe not
+            pass
+        try:
+            # exp(meanlog) = exp(r) * 2**k with r in (700 - ln 2, 700]: a tiny
+            # x times exp(r) stays normal, and only the power of two is left
+            k = math.ceil((self.meanlog - 700.0) / _LN2)
+            return math.ldexp(x * math.exp(self.meanlog - k * _LN2), k)
         except OverflowError:  # past the float range
             return x * math.inf
 

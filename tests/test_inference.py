@@ -618,6 +618,19 @@ def test_sigma2_keeps_its_digits_at_tiny_quantile_densities():
         assert edf_numerator_variance(Pareto(1e170, 1.0), 2) == 0.0
 
 
+def test_sigma2_keeps_its_digits_where_only_exp_meanlog_overflows():
+    """exp(meanlog) is past the float range from meanlog 709.78 on; a tiny sdlog keeps the value finite."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for meanlog, size in ((750.0, 1.80015e51), (1000.0, 2.52667e268)):
+            got = edf_numerator_variance(Lognormal(meanlog, 1e-300), 2)
+            want = 0.651006317841586 * math.exp(2.0 * (math.log(1e-300) + meanlog))
+            assert_allclose(got, want, rtol=1e-12)
+            assert_allclose(got, size, rtol=1e-5)
+        for meanlog in (1400.0, 1e308):
+            assert edf_numerator_variance(Lognormal(meanlog, 1e-300), 2) == math.inf
+
+
 def test_sigma2_scaled_members_share_the_unit_members_values():
     _on_mesh.cache_clear()
     edf_numerator_variance(Lognormal(0.0, 1.0), 2)
