@@ -193,10 +193,9 @@ def _cmd_simulate(args):
                 file=sys.stderr,
             )
     else:
+        given = {"replications": args.reps, "base_seed": args.seed}
         cells = default_grid(
-            _default_distributions(),
-            replications=args.reps if args.reps is not None else 10_000,
-            base_seed=args.seed if args.seed is not None else 1,
+            _default_distributions(), **{k: val for k, val in given.items() if val is not None}
         )
     if args.workers is not None:
         print("warning: --workers is ignored; simulate runs on one thread", file=sys.stderr)

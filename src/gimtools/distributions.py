@@ -121,9 +121,10 @@ class Distribution:
     of the member, whose Q is c times its unit-scale member's; ``inf`` past
     the float range), ``_unit_qd_size()`` (the factor that sets the size of
     the unit-scale member's Q': 1, 1/shape or sdlog) and, where one exists,
-    ``_closed_extremes(v)``.  This class owns the parameter check, the
-    argument contract of the public
-    methods and the ``params_label``.
+    ``_closed_extremes(v)`` and ``_closed_gim(v)`` (GIM(v) with its numerator
+    taken directly, not as a difference of the two moments).  This class
+    owns the parameter check, the argument contract of the public methods
+    and the ``params_label``.
     """
 
     name = "?"
@@ -158,6 +159,9 @@ class Distribution:
 
     def _closed_extremes(self, v):
         return None  # no closed form; quadrature fallback
+
+    def _closed_gim(self, v):
+        return None  # no numerator-first form; the ratio of the extreme moments
 
     def _unit_member(self):
         """The family's member at unit scale (rate 1, scale 1 or meanlog 0), same shape."""
@@ -279,6 +283,14 @@ class Pareto(Distribution):
         # the min.  Every factor exceeds 1, so nothing cancels
         e_max = math.prod((k * a / (k * a - 1.0) for k in range(1, v)), start=e_min)
         return e_max, e_min
+
+    def _closed_gim(self, v):
+        if v > self._CLOSED_FORM_MAX_ORDER:
+            return None
+        # E max / E min - 1 from the product above, as expm1 of a sum of
+        # log1p: a large shape leaves no difference of nearly equal moments
+        e = math.expm1(math.fsum(math.log1p(1.0 / (k * self.shape - 1.0)) for k in range(1, v)))
+        return e / (e + 2.0)
 
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -474,6 +486,11 @@ class Lognormal(Distribution):
             return 2.0 * mu * p, 2.0 * mu * (1.0 - p)
         return None
 
+    def _closed_gim(self, v):
+        # GIM(2) = 2 Phi(sdlog/sqrt(2)) - 1 = erf(sdlog/2), with no
+        # difference of two moments near the mean at small sdlog
+        return math.erf(0.5 * self.sdlog) if v == 2 else None
+
 
 FAMILIES = {
     "exponential": Exponential,
@@ -567,8 +584,18 @@ def theoretical_gim(dist, v, force_quadrature=False):
     GIM is scale-free, so it is evaluated on one fixed member of the family
     (rate 1, scale 1, or the lognormal with mean 1): the scale never reaches
     the arithmetic, and a member whose moments leave the float range still
-    has its value.
+    has its value.  Where a family has a form that gives the numerator
+    without subtracting the two moments (Pareto up to the order of its
+    closed form, lognormal at v = 2), that form is used: as the spread goes
+    to zero the moments agree to ever more digits, and their difference
+    would lose them.  ``force_quadrature=True`` skips that form along with
+    the closed extremes.
     """
+    v = _check_order(v)
     dist = dist._theory_member()
+    if not force_quadrature:
+        value = dist._closed_gim(v)
+        if value is not None:
+            return value
     e_max, e_min = theoretical_extremes(dist, v, force_quadrature=force_quadrature)
     return (e_max - e_min) / (e_max + e_min)

@@ -26,17 +26,9 @@ variance (by about 4x for the exponential family at v = 2); the jackknife
 tracks the true sampling variance closely and is the recommended default.
 Both are reported so the two can be compared side by side.
 
-The jackknife's prefix and suffix sums are sequential running sums over the
-whole sample, swept block by block (``measures._BLOCK`` positions at a time,
-blocks counted from the top) so that each numpy pass works on operands that
-stay in cache.  The carry rule makes the blocks invisible: the running total
-of one block is added into the next block's first term before its scan,
-which repeats the single scan's additions in the same order, so every sum is
-bit for bit that of one sequential ``np.cumsum`` whatever the blocking.
-Beside the weights, the jackknife holds one length-n array, the one it
-returns: the sample is scaled a block at a time, and the min side keeps only
-its carried total below each block, from which the block's prefix sums are
-rebuilt when the descending sweep reaches it.
+The jackknife's block sweeps, which keep the bits of one sequential scan
+and hold one length-n array beside the weights, are described in
+:func:`leave_one_out`.
 """
 
 import math
@@ -170,24 +162,22 @@ def leave_one_out(s, v, kind="ustat"):
     and min moment in one pass; this is the exact delete-1 recomputation,
     not an approximation.  The sample is scaled by the power of two that
     brings its maximum into [0.5, 1) first, so the sums cannot overflow.
-    Deleting the maximum leaves the n-1 smallest values; when the largest
-    of them lies in a lower binade they are summed again at their own
-    scale, in the same running order, so that incomes far below the
-    maximum cannot underflow to zero.
 
-    The prefix sums come from an ascending sweep and the suffix sums from
-    a descending one, both over the same blocks of ``measures._BLOCK``
-    positions counted from the top, with the running total carried into
-    the next block's first term: bit for bit the values of one sequential
-    ``np.cumsum`` per side.  Each block of the sample is scaled into a
-    buffer one value longer than the block.  The max side's prefix sums go
-    into the returned array; the min side keeps only its running total
-    below each block, and the descending sweep rebuilds that block's prefix
-    sums from it with the same multiply, carry and accumulate (the top
-    block's are still in the buffers).  The descending sweep then adds the
-    block's suffix sums in and forms its ratios while the block is still in
-    cache.  Beside the weights, the returned array is the only length-n
-    allocation.
+    Both sweeps run over the same blocks of ``measures._BLOCK`` positions,
+    counted from the top, through one running-sum helper that folds the
+    carried total into the block's first term: bit for bit the values of
+    one sequential ``np.cumsum`` per side.  The ascending sweep scales each
+    block, keeps the max side's prefix sums in the returned array and only
+    the min side's total below each block.  The descending sweep treats
+    every block alike: it scales the block again, rebuilds the min side's
+    prefix sums from that total, adds both sides' suffix sums, and forms
+    the block's ratios in place while it is still in cache.  Beside the
+    weights, the returned array is the only length-n allocation.
+
+    Deleting the maximum leaves the n-1 smallest values.  When the largest
+    of them lies in a lower binade, the ascending sweep runs once more at
+    their own scale, so that incomes far below the maximum cannot
+    underflow to zero; that deletion's ratio is taken on its own.
 
     A deletion that leaves a constant sample (any deletion from a constant
     sample, or deleting the one value that differs from the rest at either
@@ -221,86 +211,62 @@ def leave_one_out(s, v, kind="ustat"):
         # every deletion leaves the same constant sample: estimate it once
         return np.full(n, estimate(values[:m]))
     w_up = w_lo[::-1]  # the min side's weights bottom-up, like the sample
-    exponent = math.frexp(values[m])[1]
     size = min(m, _BLOCK)
     # one block of the scaled sample and the value above it; the min side's
     # sums for one block of deletions; scratch for suffix sums and ratios
-    x, low, scratch = np.empty(size + 1), np.empty(size + 1), np.empty(size + 1)
-
-    def scale(start, stop):
-        np.ldexp(values[start:stop + 1], -exponent, out=x[:stop - start + 1])
-
-    def prefix(w, start, stop, carry, sums):
-        # sums[i] = carry + the sum of w[j] times scaled value j, start <= j <= start + i
-        t = np.multiply(w[start:stop], x[:stop - start], out=sums)
-        if start:
-            t[0] += carry
-        return np.add.accumulate(t, out=t)[-1]
-
-    def suffix(w, start, stop, carry, sums):
-        # adds to sums[i] the sum of w[j] times scaled value j + 1, start + i <= j < m
-        t = np.multiply(w[start:stop], x[1:stop - start + 1], out=scratch[:stop - start])
-        if stop < m:
-            t[-1] += carry
-        np.add.accumulate(t[::-1], out=t[::-1])
-        np.add(sums, t, out=sums)
-        return t[0]
-
-    # Blocks of deletions counted from the top.  out[k] holds the max side's
-    # sum with sorted observation k deleted, first its prefix (weight j at
-    # position j, for j < k), then with its suffix (weight j at position
-    # j+1, for j >= k) added in.  The min side keeps only its running total
-    # below each block, from which the descending sweep rebuilds the block's
-    # prefix sums with the same additions.
-    stops = range(m, 0, -_BLOCK)
-    below = []
+    x, low, scratch = np.empty(size + 1), np.empty(size + 1), np.empty(size)
+    blocks = [(max(stop - _BLOCK, 0), stop) for stop in range(m, 0, -_BLOCK)]
     out = np.empty(n)
-    out[0] = carry = 0.0
-    for stop in reversed(stops):  # ascending
-        start = max(stop - _BLOCK, 0)
-        scale(start, stop)
-        prefix(w_hi, start, stop, out[start], out[start + 1:stop + 1])
-        below.append(carry)
-        carry = prefix(w_up, start, stop, carry, low[1:stop - start + 1])
-    # x and low still hold the top block: low[size] is the top deletion's
-    # min-side sum, out[m] its max-side sum
-    top = math.frexp(values[m - 1])[1]
-    if top != exponent:
-        # Deleting the maximum leaves the n-1 smallest values: sum them again
-        # at their own scale, in the same running order and with the same
-        # carry rule, a block at a time.  In the maximum's binade that scaled
-        # copy is x[:m] itself, whose sums are already in out[m] and low[size].
-        def resum(w):
-            total = 0.0
-            for stop in reversed(stops):
-                start = max(stop - _BLOCK, 0)
-                t = np.ldexp(values[start:stop], -top, out=scratch[:stop - start])
-                t *= w[start:stop]
-                if start:
-                    t[0] += total
-                total = np.add.accumulate(t, out=t)[-1]
-            return total
 
-        out[m], low[size] = resum(w_hi), resum(w_up)
+    def running(w, xs, carry, sums):
+        # sums[i] = carry + the sum of w[j] * xs[j], j <= i; returns the last
+        np.multiply(w, xs, out=sums)
+        sums[0] += carry
+        return np.add.accumulate(sums, out=sums)[-1]
+
+    def ascend(exponent):
+        # out[k] = the max side's sum of weight j times value j, j < k; returns
+        # the min side's total below each block, bottom-up, and over all m
+        out[0] = total = 0.0
+        below = []
+        for start, stop in reversed(blocks):
+            t = np.ldexp(values[start:stop], -exponent, out=x[:stop - start])
+            below.append(total)
+            running(w_hi[start:stop], t, out[start], out[start + 1:stop + 1])
+            total = running(w_up[start:stop], t, total, low[:stop - start])
+        return below, total
+
+    # Deleting the maximum leaves the n-1 smallest values, summed at the
+    # scale of the largest of them; in the maximum's binade these are the
+    # sums that the sweeps below use as well
+    exponent, top = math.frexp(values[m])[1], math.frexp(values[m - 1])[1]
+    below, total = ascend(top)
+    # gim_ratio's arithmetic, on Python floats: on numpy scalars its calls
+    # cost about as much as all the sums of a small sample
+    hi, lo = float(out[m]), float(total)
+    theta_top = max(hi - lo, 0.0) / (hi + lo)
+    if top != exponent:
+        below, _ = ascend(exponent)
     carry_hi = carry_lo = 0.0
-    for stop, base in zip(stops, reversed(below)):  # descending
-        start = max(stop - _BLOCK, 0)
+    for (start, stop), base in zip(blocks, reversed(below)):  # descending
         width = stop - start
-        if stop < m:  # the top block's scaled values and min-side sums are in place
-            scale(start, stop)
-            prefix(w_up, start, stop, base, low[1:width + 1])
+        t = np.ldexp(values[start:stop + 1], -exponent, out=x[:width + 1])
         low[0] = base
-        carry_hi = suffix(w_hi, start, stop, carry_hi, out[start:stop])
-        carry_lo = suffix(w_up, start, stop, carry_lo, low[:width])
-        # these deletions' sums (and in the top block the top deletion's)
-        # are complete: gim_ratio on them in place, into out
-        end = width + 1 if stop == m else width
-        hi, lo = out[start:start + end], low[:end]
-        denominator = np.add(hi, lo, out=scratch[:end])
-        if (denominator == 0.0).any():
-            raise ZeroMean("GIM undefined for an all-zero sample")
+        running(w_up[start:stop], t[:width], base, low[1:width + 1])
+        # deletion start + i adds weight j times value j + 1, start + i <= j < m
+        up = scratch[:width]
+        carry_hi = running(w_hi[start:stop][::-1], t[:0:-1], carry_hi, up[::-1])
+        out[start:stop] += up
+        carry_lo = running(w_up[start:stop][::-1], t[:0:-1], carry_lo, up[::-1])
+        low[:width] += up
+        # gim_ratio in place, into out.  No denominator is zero: each of
+        # these deletions keeps the maximum, scaled into [0.5, 1), at
+        # weight w_hi[m - 1] = v/m > 0
+        hi, lo = out[start:stop], low[:width]
+        denominator = np.add(hi, lo, out=scratch[:width])
         np.maximum(np.subtract(hi, lo, out=hi), 0.0, out=hi)
         np.divide(hi, denominator, out=hi)
+    out[m] = theta_top
     # the only deletions that can leave a constant sample
     if values[1] == values[-1]:
         out[0] = estimate(values[1:])

@@ -28,6 +28,8 @@ from .measures import _BLOCK, KINDS, _check_order, extreme_sums, extreme_weights
 
 DEFAULT_SIZES = (20, 40, 60, 80, 100, 200)
 DEFAULT_ORDERS = (2, 3)
+DEFAULT_REPLICATIONS = 10_000
+DEFAULT_SEED = 1
 
 
 @dataclass(frozen=True)
@@ -37,7 +39,7 @@ class SimCell:
     dist: object
     n: int
     v: int
-    replications: int = 10_000
+    replications: int = DEFAULT_REPLICATIONS
     base_seed: int = 0
 
     def __post_init__(self):
@@ -119,7 +121,7 @@ def run_grid(cells):
     return [run_cell(cell) for cell in cells]
 
 
-def default_grid(distributions, replications=10_000, base_seed=1,
+def default_grid(distributions, replications=DEFAULT_REPLICATIONS, base_seed=DEFAULT_SEED,
                  sizes=DEFAULT_SIZES, orders=DEFAULT_ORDERS):
     """Standard study grid: every (family, v, n) combination.
 
@@ -192,8 +194,8 @@ def load_grid_config(path):
 
     run = sections.pop("run", {})
     try:
-        replications = int(run.get("replications", 10_000))
-        base_seed = int(run.get("seed", 1))
+        replications = int(run.get("replications", DEFAULT_REPLICATIONS))
+        base_seed = int(run.get("seed", DEFAULT_SEED))
     except ValueError as exc:
         raise ParseError(f"bad [run] value in {path!r}: {exc}") from exc
 

@@ -210,6 +210,21 @@ def test_simulate_default_grid_small(capsys):
     assert len(out.strip().split("\n")) == 2 + 36
 
 
+def test_simulate_defaults_come_from_the_simulation_module(monkeypatch):
+    # a bare `gim simulate` passes no replication count or seed of its own;
+    # run_grid is captured, so nothing runs
+    from gimtools import simulation
+
+    cells = []
+    monkeypatch.setattr(simulation, "run_grid", lambda grid: cells.extend(grid) or [])
+    monkeypatch.setattr(simulation, "emit_table", lambda results, format: "")
+    assert main(["simulate"]) == 0
+    assert simulation.DEFAULT_REPLICATIONS == 10_000 and simulation.DEFAULT_SEED == 1
+    assert len(cells) == 36
+    assert {cell.replications for cell in cells} == {10_000}
+    assert [cell.base_seed for cell in cells] == list(range(1, 37))
+
+
 def test_simulate_malformed_grid_fails_in_one_line(tmp_path, capsys):
     grid = tmp_path / "incomes.csv"
     grid.write_text("income\n3\n5\n")

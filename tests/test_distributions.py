@@ -366,6 +366,26 @@ def test_pareto_gim_matches_exact_rationals(shape):
         assert abs(Fraction(theoretical_gim(Pareto(shape, 1.0), v)) - exact) <= 2e-14 * exact
 
 
+@pytest.mark.parametrize("shape", [3.0, 1.8, 1.01, 1e4, 1e8, 1e12, 1e15, 1e17])
+def test_pareto_gim_keeps_its_digits_at_large_shapes(shape):
+    # E max and E min agree to ever more digits as the shape grows: the
+    # value comes numerator-first, not from their difference
+    for v in (1, 2, 5, 12, 18):
+        exact = _pareto_gim_exact(shape, v)
+        assert abs(Fraction(theoretical_gim(Pareto(shape, 1.0), v)) - exact) <= 1e-15 * exact
+
+
+@pytest.mark.parametrize("sdlog", [1e-8, 1e-15, 1e-20, 1e-300])
+def test_lognormal_gim2_keeps_its_digits_at_small_sdlog(sdlog):
+    # GIM(2) = erf(sdlog/2) = sdlog/sqrt(pi) + O(sdlog^3)
+    assert abs(theoretical_gim(Lognormal(0.0, sdlog), 2) / sdlog - 1.0 / math.sqrt(math.pi)) <= 1e-15
+
+
+def test_pareto_gim_past_the_closed_form_order_is_the_quadrature_value():
+    d = Pareto(3.0, 1.0)
+    assert theoretical_gim(d, 19) == theoretical_gim(d, 19, force_quadrature=True)
+
+
 def test_lognormal_extremes_closed_vs_quadrature_v2():
     d = Lognormal(0.0, 1.0)
     closed = theoretical_extremes(d, 2)

@@ -335,17 +335,23 @@ def test_leave_one_out_bit_identical_across_block_edges(n, kind):
     # the top: n = _BLOCK + 2 is the first size with two blocks, the bottom
     # one a single position long, and n = 2 * _BLOCK + 3 has three, the
     # middle one's min-side sums rebuilt with carries from below and above
+    estimator = gim_ustat if kind == "ustat" else gim_edf
     rng = np.random.default_rng(n)
     spread = rng.lognormal(0.0, 1.0, n)
     lower = rng.lognormal(0.0, 1.0, n)
     lower[-1] = 4.0 * lower.max()  # the second largest value lies a binade or more lower
     heavy = rng.pareto(1.2, n) + 1.0
-    for xs in (spread, lower, heavy):
+    # at the maximum's scale the rest underflows to zero: the top deletion
+    # sums them again at their own scale, across every block
+    tiny = rng.lognormal(0.0, 1.0, n) * 1e-300
+    tiny[-1] = 1e300
+    for xs in (spread, lower, heavy, tiny):
         s = make_sample(xs)
         for v in (2, 3, 5):
             theta = leave_one_out(s, v, kind)
             expect = _leave_one_out_unblocked(xs, v, kind)
             assert np.array_equal(theta, expect)
+            assert theta[-1] == pytest.approx(estimator(s.values[:-1], v).value, rel=1e-12)
             centered = expect - np.mean(expect)
             variance = (n - 1) / n * float(np.sum(centered * centered))
             assert jackknife_variance(s, v, kind).variance == variance
