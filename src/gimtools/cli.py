@@ -31,8 +31,8 @@ from .distributions import (
     draw_sample,
     theoretical_gim,
 )
-from .errors import GimError, InvalidArgument, check_integer
-from .inference import METHODS, edf_numerator_variance, jackknife_variance
+from .errors import GimError, InvalidArgument, InvalidLevel, check_integer
+from .inference import METHODS, _check_level, edf_numerator_variance, jackknife_variance
 from .measures import (
     _check_order,
     gim_edf,
@@ -131,6 +131,16 @@ def _parse_orders(text):
     if not orders:
         raise argparse.ArgumentTypeError(f"bad order list {text!r}")
     return orders
+
+
+def _parse_level(text):
+    # checked when the arguments are parsed, before the CSV is read
+    try:
+        level = float(text)
+        _check_level(level)
+    except (ValueError, InvalidLevel) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return level
 
 
 def _cmd_report(args):
@@ -299,7 +309,7 @@ def build_parser():
     _add_input_options(p)
     p.add_argument("--v", type=_parse_orders, default=[2, 3],
                    help="comma-separated orders, e.g. 2,3")
-    p.add_argument("--ci", type=float, default=0.95, help="confidence level")
+    p.add_argument("--ci", type=_parse_level, default=0.95, help="confidence level")
     p.add_argument("--se", choices=METHODS, default="jackknife",
                    help="interval machinery")
     p.add_argument("--label", help="dataset label (default: input path)")

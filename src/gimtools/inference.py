@@ -8,7 +8,8 @@ normal for both estimators.  This module provides:
 * ``ustat_variance`` — the plug-in large-sample variance of the U-statistic
   ratio built from it (method tag ``"plugin"``);
 * ``jackknife_variance`` — exact delete-1 jackknife for either estimator
-  (method tag ``"jackknife"``), computed in O(n) with prefix/suffix sums;
+  (method tag ``"jackknife"``), computed in O(n) from the deviations of the
+  delete-1 estimates from the full-sample one;
 * ``confidence_interval`` — normal-approximation intervals clamped to [0, 1],
   with z from the library's own Cephes ``ndtri`` port at the lower tail
   (1 - level)/2, which carries no rounding for level >= 1/2 (scipy is not
@@ -26,9 +27,9 @@ variance (by about 4x for the exponential family at v = 2); the jackknife
 tracks the true sampling variance closely and is the recommended default.
 Both are reported so the two can be compared side by side.
 
-The jackknife's block sweeps, which keep the bits of one sequential scan
-and hold one length-n array beside the weights, are described in
-:func:`leave_one_out`.
+The jackknife's deviation form, the deletions it takes directly, and its
+two block passes, which keep the bits of one sequential scan and hold one
+length-n array beside the weights, are described in :func:`leave_one_out`.
 """
 
 import math
@@ -40,11 +41,15 @@ import numpy as np
 from . import quadrature
 from .distributions import _ndtri_lower, _on_mesh
 from .errors import InvalidArgument, InvalidLevel, InvalidStdError, SampleTooSmall, ZeroMean
-from .measures import (_BLOCK, _check_order, _powers, _unscale, _ustat_sums, extreme_sums,
+from .measures import (_BLOCK, _check_order, _estimate, _powers, _unscale, _ustat_sums,
                        extreme_weights, gim_ratio)
 from .samples import as_sample
 
 METHODS = ("plugin", "jackknife")
+
+# 0, 1, ..., _BLOCK - 1: the offsets within a jackknife block, from which it
+# forms the weights' step ratios; one shared array, not a buffer per call
+_OFFSETS = np.arange(float(_BLOCK))
 
 
 @dataclass(frozen=True)
@@ -151,154 +156,180 @@ def ustat_variance(s, v):
     )
 
 
+def _deviations(s, v, kind):
+    """``(theta, dev, direct)``: the n delete-1 deviations of GIM(v), in O(n).
+
+    ``dev[k]`` is theta_{-k} - theta, the estimate with sorted observation k
+    removed minus ``theta``, and ``direct`` maps the deletions taken on
+    their own (see :func:`leave_one_out`) to their estimates.  On a constant
+    sample, and at v = 1, every deletion leaves the same estimate: ``theta``
+    is that estimate and every deviation 0.
+    """
+    n, m = s.n, s.n - 1
+    if m < v or m < 1:
+        raise SampleTooSmall(f"leave-one-out of order v={v} needs at least {v + 1} observations")
+    values = s.values
+    if values[-2] == 0.0 < values[-1]:
+        raise ZeroMean("GIM undefined for a leave-one-out sample: deleting the only nonzero "
+                       "income leaves an all-zero sample")
+    if v == 1 or values[0] == values[-1]:
+        return _estimate(kind, values[:m], v).value, np.zeros(n), {}
+    # The size-n pair times c = n/(n-v) (ustat) or (n/m)**v (edf) is the
+    # size-m build and one entry more: the max side's top and the min
+    # side's bottom, the same entry for ustat, v/m (the build's) for edf.
+    w_hi, w_lo = extreme_weights(kind, m, v)
+    top = v / (n - v) if kind == "ustat" else v / m * (n / m) ** (v - 1)
+    bottom = top if kind == "ustat" else v / m
+    exponent = math.frexp(values[m])[1]
+    x, step, pad = np.empty((3, min(n, _BLOCK) + 1))
+    blocks = [(max(stop - _BLOCK, 0), stop) for stop in range(n, 0, -_BLOCK)]
+    out = np.empty(n)
+
+    def load(start, stop, core, below, above, first, down):
+        # the block scaled; w[i] = core[start - 1 + i], i = 0..stop - start,
+        # with below at core's index -1 and above at its index m; and
+        # 1 - w[t-1]/w[t], a weight's step over the weight, at t = first -/+ i:
+        # (v-1)/t for ustat, 1 - (1 - 1/t)**(v-1) for edf
+        t = np.ldexp(values[start:stop], -exponent, out=x[:stop - start])
+        w = pad[:len(t) + 1]
+        w[0], w[-1] = below, above  # kept where the block reaches past core
+        w[start == 0:len(t) + (stop < n)] = core[max(start - 1, 0):stop]
+        r = (np.subtract if down else np.add)(first, _OFFSETS[:len(t)], out=step[:len(t)])
+        np.maximum(r, 1.0, out=r)  # t = 0 only at an end, where the weight is 0
+        if kind == "ustat":
+            return t, w, np.divide(v - 1, r, out=r)
+        with np.errstate(divide="ignore"):  # t = 1: log1p(-1) = -inf, the step 1
+            np.log1p(np.divide(-1.0, r, out=r), out=r)
+        return t, w, np.negative(np.expm1(np.multiply(r, v - 1, out=r), out=r), out=r)
+
+    def running(terms, carry):
+        # terms[i] = carry + terms[0] + ... + terms[i]; returns the last
+        terms[0] += carry
+        return np.add.accumulate(terms, out=terms)[-1]
+
+    # ascending, with a and b the scaled pair (b bottom-up): into out
+    # B_k = b[k+1] x_k + sum_{j<=k} (b[j] - b[j+1]) x_j, and H = sum a x,
+    # L = sum b x
+    hi = lo = below = above = 0.0
+    for start, stop in reversed(blocks):
+        t, b, r = load(start, stop, w_lo[::-1], bottom, 0.0, m - start, True)
+        own = np.multiply(b[:-1], t, out=out[start:stop])
+        below = running(np.multiply(r, own, out=r), below)
+        lo = running(own, lo)
+        np.add(np.multiply(b[1:], t, out=own), r, out=own)
+        a = w_hi[start:stop]  # the top block leaves out the top, added below
+        hi = running(np.multiply(a, t[:len(a)], out=r[:len(a)]), hi)
+    hi += top * math.ldexp(values[m], -exponent)
+    theta = float(max(hi - lo, 0.0) / (d := hi + lo))
+    # descending: A_k = a[k-1] x_k + sum_{i>=k} (a[i] - a[i-1]) x_i, and in
+    # place of B_k, theta_{-k} - theta = 2 (H B_k - L A_k) / (D (D - A_k - B_k))
+    # with D = H + L.  The deletions that can leave a constant sample, and
+    # those that remove most of the mass, where D - A_k - B_k cancels, are
+    # taken directly instead.
+    direct = {k for k, rest in ((0, values[1:]), (m, values[:m])) if rest[0] == rest[-1]}
+    for start, stop in blocks:
+        t, a, r = load(start, stop, w_hi, 0.0, top, start + (kind == "edf"), False)
+        r *= a[1:]
+        above = running(np.multiply(r, t, out=r)[::-1], above)
+        np.add(np.multiply(a[:-1], t, out=t), r, out=t)
+        dev = out[start:stop]
+        np.subtract(np.subtract(d, t, out=r), dev, out=r)
+        if r.min() < d / 2:
+            far = np.flatnonzero(r < d / 2)
+            direct.update(start + far)
+            r[far] = d
+        dev *= hi
+        dev -= np.multiply(t, lo, out=t)
+        dev /= np.multiply(r, d / 2, out=r)
+    direct = {k: _estimate(kind, np.delete(values, k), v).value for k in direct}
+    out[list(direct)] = np.subtract(list(direct.values()), theta)
+    return theta, out, direct
+
+
 def leave_one_out(s, v, kind="ustat"):
     """All n delete-1 estimates of GIM(v), in O(n) total.
 
-    Deleting the observation at sorted position k leaves a sorted sample of
-    size n-1 in which positions below k keep their weight index and
-    positions above k shift down by one.  Prefix/suffix sums over the
-    size-(n-1) weight pair of :func:`~gimtools.measures.extreme_weights`
-    (its min side read bottom-up) therefore give every leave-one-out max
-    and min moment in one pass; this is the exact delete-1 recomputation,
-    not an approximation.  The sample is scaled by the power of two that
-    brings its maximum into [0.5, 1) first, so the sums cannot overflow.
+    Deleting sorted observation k leaves n - 1 values whose weights are
+    the size-n pair times one constant c, n/(n-v) for ``"ustat"`` and
+    (n/(n-1))**v for ``"edf"``: the max side without its top weight, the
+    min side (bottom-up) without its bottom one.  So with a and b that
+    scaled pair, the size-(n-1) build of
+    :func:`~gimtools.measures.extreme_weights` plus one entry, and
+    H = sum a x, L = sum b x, D = H + L, the deletion removes two sums of
+    non-negative terms,
 
-    Both sweeps run over the same blocks of ``measures._BLOCK`` positions,
-    counted from the top, through one running-sum helper that folds the
-    carried total into the block's first term: bit for bit the values of
-    one sequential ``np.cumsum`` per side.  The ascending sweep scales each
-    block, keeps the max side's prefix sums in the returned array and only
-    the min side's total below each block.  The descending sweep treats
-    every block alike: it scales the block again, rebuilds the min side's
-    prefix sums from that total, adds both sides' suffix sums, and forms
-    the block's ratios in place while it is still in cache.  Beside the
-    weights, the returned array is the only length-n allocation.
+        A_k = a_k x_k + sum_{i>k} (a_i - a_{i-1}) x_i,
+        B_k = b_k x_k + sum_{j<k} (b_j - b_{j+1}) x_j,
 
-    Deleting the maximum leaves the n-1 smallest values.  When the largest
-    of them lies in a lower binade, the ascending sweep runs once more at
-    their own scale, so that incomes far below the maximum cannot
-    underflow to zero; that deletion's ratio is taken on its own.
+    and moves the estimate theta = (H - L) / D by exactly
 
-    A deletion that leaves a constant sample (any deletion from a constant
-    sample, or deleting the one value that differs from the rest at either
-    end) gets, bit for bit, the estimator's value on that sample: 0.0 for
-    ``"ustat"``.
+        theta_{-k} - theta = 2 (H B_k - L A_k) / (D (D - A_k - B_k)).
+
+    The weight differences are formed directly, (v-1)/i times the weight
+    for the U-statistic and 1 - (1 - 1/i)**(v-1) times it, through
+    ``expm1`` and ``log1p``, for the plug-in weights, never by subtracting
+    rounded weights; and theta enters once, added to each deviation at
+    the end.  On lognormal samples of 1e4 every deviation lies within
+    about 6e-15 of the largest one from an 80-bit reference; a ratio of
+    running sums of about n terms, minus theta, missed by about 1e-12.
+
+    The sample is scaled by the power of two that brings its maximum into
+    [0.5, 1), so the sums cannot overflow.  One ascending pass writes B
+    into the returned array and sums H and L; one descending pass turns it
+    into the deviations in place.  Both run over blocks of
+    ``measures._BLOCK`` positions counted from the top, each running sum
+    carried from block to block into the next block's first term, bit for
+    bit one sequential ``np.cumsum``.  Each block's weights, with the one
+    entry past the build where the block reaches it, are copied into a
+    block buffer, so beside the build the returned array is the only
+    length-n allocation.
+
+    Two kinds of deletion are taken directly, by the estimator on the
+    n - 1 values left.  Those with A_k + B_k > D/2 remove most of the
+    mass, so that D - A_k - B_k cancels: for the U-statistic the A_k + B_k
+    sum to v D, so fewer than 2v deletions qualify, such as the maximum
+    when it dwarfs the rest (the incomes far below it, which underflow at
+    its scale, are then summed at their own) or any deletion at tiny n.
+    And a deletion that leaves a constant sample (deleting the one value
+    that differs from the rest at either end) gets, bit for bit, the
+    estimator's value on that sample: 0.0 for ``"ustat"``.  Every deletion
+    from a constant sample leaves the same sample, estimated once.
 
     Returns
     -------
     ndarray
-        ``out[k]`` is the estimate with sorted observation k removed.
+        ``out[k]`` is the estimate with sorted observation k removed:
+        theta plus its deviation, held to [0, 1].
     """
-    s = as_sample(s)
-    n = s.n
-    m = n - 1
-    if m < v or m < 1:
-        raise SampleTooSmall(
-            f"leave-one-out of order v={v} needs at least {v + 1} observations"
-        )
-    values = s.values
-    if values[-2] == 0.0 < values[-1]:
-        raise ZeroMean(
-            "GIM undefined for a leave-one-out sample: deleting the only nonzero "
-            "income leaves an all-zero sample"
-        )
-    w_hi, w_lo = extreme_weights(kind, m, v)
-
-    def estimate(rest):
-        return gim_ratio(*extreme_sums(rest, w_hi, w_lo, v)[:2])[0]
-
-    if values[0] == values[-1]:
-        # every deletion leaves the same constant sample: estimate it once
-        return np.full(n, estimate(values[:m]))
-    w_up = w_lo[::-1]  # the min side's weights bottom-up, like the sample
-    size = min(m, _BLOCK)
-    # one block of the scaled sample and the value above it; the min side's
-    # sums for one block of deletions; scratch for suffix sums and ratios
-    x, low, scratch = np.empty(size + 1), np.empty(size + 1), np.empty(size)
-    blocks = [(max(stop - _BLOCK, 0), stop) for stop in range(m, 0, -_BLOCK)]
-    out = np.empty(n)
-
-    def running(w, xs, carry, sums):
-        # sums[i] = carry + the sum of w[j] * xs[j], j <= i; returns the last
-        np.multiply(w, xs, out=sums)
-        sums[0] += carry
-        return np.add.accumulate(sums, out=sums)[-1]
-
-    def ascend(exponent):
-        # out[k] = the max side's sum of weight j times value j, j < k; returns
-        # the min side's total below each block, bottom-up, and over all m
-        out[0] = total = 0.0
-        below = []
-        for start, stop in reversed(blocks):
-            t = np.ldexp(values[start:stop], -exponent, out=x[:stop - start])
-            below.append(total)
-            running(w_hi[start:stop], t, out[start], out[start + 1:stop + 1])
-            total = running(w_up[start:stop], t, total, low[:stop - start])
-        return below, total
-
-    # Deleting the maximum leaves the n-1 smallest values, summed at the
-    # scale of the largest of them; in the maximum's binade these are the
-    # sums that the sweeps below use as well
-    exponent, top = math.frexp(values[m])[1], math.frexp(values[m - 1])[1]
-    below, total = ascend(top)
-    # gim_ratio's arithmetic, on Python floats: on numpy scalars its calls
-    # cost about as much as all the sums of a small sample
-    hi, lo = float(out[m]), float(total)
-    theta_top = max(hi - lo, 0.0) / (hi + lo)
-    if top != exponent:
-        below, _ = ascend(exponent)
-    carry_hi = carry_lo = 0.0
-    for (start, stop), base in zip(blocks, reversed(below)):  # descending
-        width = stop - start
-        t = np.ldexp(values[start:stop + 1], -exponent, out=x[:width + 1])
-        low[0] = base
-        running(w_up[start:stop], t[:width], base, low[1:width + 1])
-        # deletion start + i adds weight j times value j + 1, start + i <= j < m
-        up = scratch[:width]
-        carry_hi = running(w_hi[start:stop][::-1], t[:0:-1], carry_hi, up[::-1])
-        out[start:stop] += up
-        carry_lo = running(w_up[start:stop][::-1], t[:0:-1], carry_lo, up[::-1])
-        low[:width] += up
-        # gim_ratio in place, into out.  No denominator is zero: each of
-        # these deletions keeps the maximum, scaled into [0.5, 1), at
-        # weight w_hi[m - 1] = v/m > 0
-        hi, lo = out[start:stop], low[:width]
-        denominator = np.add(hi, lo, out=scratch[:width])
-        np.maximum(np.subtract(hi, lo, out=hi), 0.0, out=hi)
-        np.divide(hi, denominator, out=hi)
-    out[m] = theta_top
-    # the only deletions that can leave a constant sample
-    if values[1] == values[-1]:
-        out[0] = estimate(values[1:])
-    elif values[0] == values[m - 1]:
-        out[m] = estimate(values[:m])
+    theta, out, direct = _deviations(as_sample(s), v, kind)
+    np.minimum(np.maximum(np.add(out, theta, out=out), 0.0, out=out), 1.0, out=out)
+    out[list(direct)] = list(direct.values())
     return out
 
 
 def jackknife_variance(s, v, kind="ustat"):
     """Delete-1 jackknife variance of a GIM estimate.
 
-    variance = (n-1)/n * sum_k (theta_k - theta_bar)^2 over the n
-    leave-one-out estimates theta_k of the chosen estimator kind
-    (``"ustat"`` or ``"edf"``); method tag ``"jackknife"``.
+    variance = (n-1)/n * sum_k (d_k - d_bar)^2 over the n deviations
+    d_k = theta_{-k} - theta of the leave-one-out estimates of the chosen
+    estimator kind (``"ustat"`` or ``"edf"``) from the full-sample one (see
+    :func:`leave_one_out`); method tag ``"jackknife"``.  The deviations are
+    centred and squared in place, and the O(1) estimate never enters the
+    squares: on spread samples of 40 the variance lies within 2e-15 of
+    exact rational arithmetic, and it is exactly 0 on a constant sample
+    and at v = 1.
 
     Requires n >= max(v+1, 3): the subsamples must support order v, and a
     spread of fewer than 3 leave-one-out values says nothing.
     """
     s = as_sample(s)
     v = _check_order(v)
-    if s.n < max(v + 1, 3):
-        raise SampleTooSmall(
-            f"jackknife of order v={v} needs at least {max(v + 1, 3)} observations"
-        )
-    theta = leave_one_out(s, v, kind)
-    # on a constant sample the n estimates are one float, which their
-    # rounded mean can miss by an ulp
-    theta -= theta[0] if s.values[0] == s.values[-1] else np.mean(theta)
-    variance = (s.n - 1) / s.n * float(np.sum(np.square(theta, out=theta)))
-    return VarianceEstimate(
-        variance=variance, method="jackknife", std_error=float(np.sqrt(variance))
-    )
+    if s.n < (least := max(v + 1, 3)):
+        raise SampleTooSmall(f"jackknife of order v={v} needs at least {least} observations")
+    dev = _deviations(s, v, kind)[1]
+    dev -= np.mean(dev)
+    variance = (s.n - 1) / s.n * float(np.sum(np.square(dev, out=dev)))
+    return VarianceEstimate(variance, "jackknife", float(np.sqrt(variance)))
 
 
 def _check_level(level):

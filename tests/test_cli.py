@@ -149,6 +149,17 @@ def test_report_rejects_bad_order_list(fixture_csv, capsys):
         main(["report", "--input", str(fixture_csv), "--v", "two"])
 
 
+@pytest.mark.parametrize("level", ["1", "0", "nan"])
+def test_report_checks_the_level_before_reading_the_input(tmp_path, capsys, level):
+    # the input does not exist: only an argument check can end the run
+    with pytest.raises(SystemExit) as info:
+        main(["report", "--input", str(tmp_path / "ghost.csv"), "--ci", level])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --ci: confidence level must be inside (0, 1)" in err
+    assert "ghost.csv" not in err
+
+
 def test_report_jackknife_names_the_leave_one_out_sample(tmp_path, capsys):
     """Deleting the only nonzero income leaves an all-zero sample; the sample
     itself is not all zero, and plug-in intervals still work on it."""

@@ -41,7 +41,7 @@ from gimtools import (
 from gimtools import inference, quadrature
 from gimtools.distributions import _MIN_UNIFORM, _on_mesh
 from gimtools.inference import _edf_numerator_variance_at
-from gimtools.measures import _BLOCK, extreme_weights, gim_ratio, subset_weights
+from gimtools.measures import _BLOCK, extreme_weights, subset_weights
 
 
 def numerator_draws(dist, n, v, reps, seed, chunk=250):
@@ -304,57 +304,173 @@ def test_leave_one_out_exact_when_one_deletion_leaves_a_constant_sample(n, kind)
             assert kind == "edf" or expect == 0.0
 
 
-def _leave_one_out_unblocked(xs, v, kind):
-    """The delete-1 estimates with one sequential ``np.cumsum`` per running sum.
+def _jackknife_unblocked(xs, v, kind):
+    """``(estimates, deviations)`` with one sequential ``np.cumsum`` per running sum.
 
     Test reference for the block sweeps of :func:`leave_one_out`, which must
-    add the same terms in the same order and so match it bit for bit.
+    add the same terms in the same order and so match it bit for bit: the
+    deviation form on the size-n weight pair times c, written out whole.
     """
     s = make_sample(xs)
     n, m = s.n, s.n - 1
+    estimator = gim_ustat if kind == "ustat" else gim_edf
     w_hi, w_lo = extreme_weights(kind, m, v)
+    top = v / (n - v) if kind == "ustat" else v / m * (n / m) ** (v - 1)
+    a = np.r_[0.0, w_hi, top]  # a[k]: the max side's weight k - 1, k = 0..n
+    b = np.r_[top if kind == "ustat" else v / m, w_lo[::-1], 0.0]  # b[k]: min side's weight k
     x, _ = s.scaled()
-    rest = np.ldexp(s.values[:m], -np.frexp(s.values[m - 1])[1])
-    sums = []
-    for w in (w_hi, w_lo[::-1]):
-        prefix, suffix = np.zeros(n), np.zeros(n)
-        np.cumsum(w * x[:m], out=prefix[1:])
-        np.cumsum((w * x[1:])[::-1], out=suffix[1:])
-        total = prefix + suffix[::-1]
-        total[m] = np.cumsum(w * rest)[-1]
-        sums.append(total)
-    return gim_ratio(*sums)[0]
+    i = np.arange(n, dtype=float)
+
+    def steps(t):
+        t = np.maximum(t, 1.0)
+        if kind == "ustat":
+            return (v - 1) / t
+        with np.errstate(divide="ignore"):
+            return -np.expm1(np.log1p(-1.0 / t) * (v - 1))
+
+    own = b[:-1] * x
+    low = b[1:] * x + np.cumsum(steps(m - i) * own)
+    lo, hi = np.cumsum(own)[-1], np.cumsum(a[1:] * x)[-1]
+    high = a[:-1] * x + np.cumsum((steps(i + (kind == "edf")) * a[1:] * x)[::-1])[::-1]
+    d = hi + lo
+    theta = max(hi - lo, 0.0) / d
+    rest = d - high - low
+    far = np.flatnonzero(rest < d / 2)
+    rest[far] = d
+    dev = (low * hi - high * lo) / (rest * (d / 2))
+    estimates = np.clip(theta + dev, 0.0, 1.0)
+    ends = [k for k, left in ((0, s.values[1:]), (m, s.values[:m])) if left[0] == left[-1]]
+    for k in set(far) | set(ends):
+        estimates[k] = estimator(np.delete(s.values, k), v).value
+        dev[k] = estimates[k] - theta
+    return estimates, dev
 
 
 @pytest.mark.parametrize("kind", ["ustat", "edf"])
 @pytest.mark.parametrize(
-    "n", [_BLOCK - 1, _BLOCK, _BLOCK + 1, _BLOCK + 2, 2 * _BLOCK + 1, 2 * _BLOCK + 3]
+    "n", [3, 50, 2000, _BLOCK - 1, _BLOCK, _BLOCK + 1, _BLOCK + 2, 2 * _BLOCK + 1, 2 * _BLOCK + 3]
 )
 def test_leave_one_out_bit_identical_across_block_edges(n, kind):
-    # the sweeps run over the n - 1 weight positions in blocks counted from
-    # the top: n = _BLOCK + 2 is the first size with two blocks, the bottom
-    # one a single position long, and n = 2 * _BLOCK + 3 has three, the
-    # middle one's min-side sums rebuilt with carries from below and above
+    # the sweeps run over the n positions in blocks counted from the top:
+    # n = _BLOCK + 1 is the first size with two blocks, the bottom one a
+    # single position long, and n = 2 * _BLOCK + 3 has three, the middle
+    # one's sums carried in from below and from above
     estimator = gim_ustat if kind == "ustat" else gim_edf
     rng = np.random.default_rng(n)
     spread = rng.lognormal(0.0, 1.0, n)
     lower = rng.lognormal(0.0, 1.0, n)
     lower[-1] = 4.0 * lower.max()  # the second largest value lies a binade or more lower
     heavy = rng.pareto(1.2, n) + 1.0
-    # at the maximum's scale the rest underflows to zero: the top deletion
-    # sums them again at their own scale, across every block
+    # at the maximum's scale the rest underflows to zero: deleting the
+    # maximum is taken directly, at the scale of the rest
     tiny = rng.lognormal(0.0, 1.0, n) * 1e-300
     tiny[-1] = 1e300
     for xs in (spread, lower, heavy, tiny):
         s = make_sample(xs)
-        for v in (2, 3, 5):
+        for v in (v for v in (2, 3, 5) if v < n):
             theta = leave_one_out(s, v, kind)
-            expect = _leave_one_out_unblocked(xs, v, kind)
+            expect, dev = _jackknife_unblocked(xs, v, kind)
             assert np.array_equal(theta, expect)
             assert theta[-1] == pytest.approx(estimator(s.values[:-1], v).value, rel=1e-12)
-            centered = expect - np.mean(expect)
-            variance = (n - 1) / n * float(np.sum(centered * centered))
+            dev -= np.mean(dev)
+            variance = (n - 1) / n * float(np.sum(np.square(dev)))
             assert jackknife_variance(s, v, kind).variance == variance
+
+
+def _jackknife_exact(xs, v, kind):
+    """The delete-1 jackknife variance, in exact rational arithmetic."""
+    xs = sorted(Fraction(x) for x in xs)
+    n, m = len(xs), len(xs) - 1
+    if kind == "ustat":
+        hi = [Fraction(math.comb(j, v - 1), math.comb(m, v)) for j in range(m)]
+        lo = hi[::-1]
+    else:
+        hi = [Fraction(v, m) * Fraction(j + 1, m) ** (v - 1) for j in range(m)]
+        lo = [Fraction(v, m) * Fraction(m - 1 - j, m) ** (v - 1) for j in range(m)]
+    thetas = []
+    for k in range(n):
+        rest = xs[:k] + xs[k + 1:]
+        e_max = sum(w * x for w, x in zip(hi, rest))
+        e_min = sum(w * x for w, x in zip(lo, rest))
+        if e_max + e_min == 0:
+            raise ZeroMean("all-zero after a deletion")
+        thetas.append(max(e_max - e_min, 0) / (e_max + e_min))
+    mean = sum(thetas) / n
+    return Fraction(n - 1, n) * sum((t - mean) ** 2 for t in thetas)
+
+
+@pytest.mark.parametrize("kind", ["ustat", "edf"])
+def test_jackknife_variance_matches_exact_rational_arithmetic(kind):
+    # spread rows within 2e-15; on rows built around one value, or mostly
+    # zeros, the estimate's own H - L and the deviations' H B_k - L A_k
+    # cancel, and the variance keeps about 14 digits (up to 7.2e-15 here)
+    rng = np.random.default_rng(27)
+    samples = {
+        "pareto": (rng.pareto(1.5, 40) + 1.0, 2e-15),
+        "lognormal": (rng.lognormal(0.0, 1.0, 40), 2e-15),
+        "exponential": (rng.exponential(1.0, 40), 2e-15),
+        "dominant top": (np.r_[np.arange(1.0, 12.0), 1e20], 2e-15),
+        "constant": (np.full(12, 3.7), 0.0),
+        "one lower": (np.r_[0.037, np.full(11, 3.7)], 1e-14),
+        "one higher": (np.r_[np.full(11, 1 / 3), 5 / 3], 1e-14),
+        "zeros": (np.r_[0.0, 0.0, 0.0, 3.0, 5.0, 8.0], 1e-14),
+    }
+    for name, (xs, bound) in samples.items():
+        for v in (1, 2, 3, 5):
+            exact = _jackknife_exact(xs, v, kind)
+            got = jackknife_variance(make_sample(xs), v, kind).variance
+            if exact == 0 or v == 1:
+                assert exact == 0 and got == 0.0, (name, v)
+            else:
+                assert abs(Fraction(got) - exact) <= Fraction(bound) * exact, (name, v)
+    # deleting the one nonzero income leaves an all-zero sample: no jackknife
+    with pytest.raises(ZeroMean):
+        _jackknife_exact([0.0, 0.0, 0.0, 5.0], 2, kind)
+    with pytest.raises(ZeroMean):
+        jackknife_variance(make_sample([0.0, 0.0, 0.0, 5.0]), 2, kind)
+
+
+def _deviations_longdouble(s, v, kind):
+    """theta_{-k} - theta from the deviation form, summed in ``np.longdouble``.
+
+    Weights and weight differences come from exact integers, A_k and B_k in
+    the exclusive form (the code sums the inclusive one).
+    """
+    ld = np.longdouble
+    n, m = s.n, s.n - 1
+    i = np.arange(n, dtype=np.int64)
+    if kind == "ustat":
+        scale = ld(math.comb(m, v))
+        comb = np.vectorize(math.comb, otypes=[np.int64])
+        a = comb(i, v - 1).astype(ld) / scale
+        da = comb(np.maximum(i - 1, 0), v - 2).astype(ld) / scale
+        b, db = a[::-1], da[::-1]
+    else:
+        scale = ld(m) ** v / v
+        a = ((i + 1) ** (v - 1)).astype(ld) / scale
+        da = ((i + 1) ** (v - 1) - i ** (v - 1)).astype(ld) / scale
+        b = ((m - i) ** (v - 1)).astype(ld) / scale
+        db = ((m - i) ** (v - 1) - np.maximum(m - i - 1, 0) ** (v - 1)).astype(ld) / scale
+    x = s.scaled()[0].astype(ld)
+    hi, lo = np.sum(a * x), np.sum(b * x)
+    d = hi + lo
+    high = a * x + np.r_[np.cumsum((da * x)[:0:-1])[::-1], ld(0)]
+    low = b * x + np.r_[ld(0), np.cumsum(db * x)[:-1]]
+    return (2 * (hi * low - lo * high) / (d * (d - high - low))).astype(float)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
+                    reason="np.longdouble is double precision here")
+@pytest.mark.parametrize("kind", ["ustat", "edf"])
+def test_jackknife_deviations_match_an_extended_precision_reference(kind):
+    # every delete-1 deviation within 1e-13 of the largest one: a ratio of
+    # running sums minus the O(1) estimate misses by about 1e-12 here
+    for v in (2, 3, 4, 5):
+        s = make_sample(np.random.default_rng(100 + v).lognormal(0.0, 1.0, 10**4))
+        _, dev, direct = inference._deviations(s, v, kind)
+        ref = _deviations_longdouble(s, v, kind)
+        assert not direct
+        assert np.max(np.abs(dev - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("kind", ["ustat", "edf"])
