@@ -13,13 +13,18 @@ A bare ``import gimtools`` loads the estimator core only: ``errors``,
 ``samples``, ``measures``, ``quadrature``, ``distributions`` and
 ``inference``, with numpy.  The CSV front end (``reporting``, with ``csv``)
 and the Monte Carlo harness (``simulation``, with ``configparser``) load on
-first access to one of their names, or to the module itself; every name of
-``__all__`` resolves either way.
+first access to one of their names, or to the module itself.
+
+Each public name is written once, where it is imported: ``__all__`` is
+``__version__``, the classes and functions the import block binds (its
+submodules and underscore names left out), and the first-use names of
+``_LAZY``.  Every name of ``__all__`` resolves either way.
 """
 
 __version__ = "0.1.0"
 
 import importlib
+import types
 
 from .distributions import (
     Exponential,
@@ -80,6 +85,13 @@ _LAZY = {
     ),
 }
 
+__all__ = [
+    "__version__",
+    *(name for name, value in globals().items()
+      if not name.startswith("_") and not isinstance(value, types.ModuleType)),
+    *_LAZY,
+]
+
 
 def __getattr__(name):
     if name in _LAZY.values():
@@ -91,67 +103,3 @@ def __getattr__(name):
 
 def __dir__():
     return sorted({*globals(), *__all__, *_LAZY.values()})
-
-__all__ = [
-    "__version__",
-    # samples
-    "IncomeSample",
-    "make_sample",
-    # measures
-    "GimEstimate",
-    "subset_weights",
-    "max_moment_u",
-    "min_moment_u",
-    "gmd",
-    "gini_ustat",
-    "gim_ustat",
-    "gim_ustat_naive",
-    "gim_edf",
-    # inference
-    "VarianceEstimate",
-    "projection_variance",
-    "ustat_variance",
-    "jackknife_variance",
-    "leave_one_out",
-    "confidence_interval",
-    "edf_numerator_variance",
-    # distributions
-    "Exponential",
-    "Pareto",
-    "Lognormal",
-    "SeededStream",
-    "draw_sample",
-    "theoretical_extremes",
-    "theoretical_gim",
-    # simulation
-    "SimCell",
-    "SimResult",
-    "run_cell",
-    "run_grid",
-    "default_grid",
-    "load_grid_config",
-    "emit_table",
-    # reporting
-    "DescriptiveStats",
-    "ReportRow",
-    "describe",
-    "report",
-    "ingest_csv",
-    # errors
-    "GimError",
-    "EmptySample",
-    "NegativeIncome",
-    "NonFinite",
-    "OrderExceedsSample",
-    "SampleTooSmall",
-    "ZeroMean",
-    "EnumerationTooLarge",
-    "InvalidLevel",
-    "InvalidStdError",
-    "QuadratureNoConvergence",
-    "InvalidProbability",
-    "EmptyGrid",
-    "ParseError",
-    "EmptyColumn",
-    "InvalidArgument",
-]

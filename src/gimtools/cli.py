@@ -91,6 +91,18 @@ def _write_output(args, text):
         sys.stdout.write(text)
 
 
+def _csv_text(rows):
+    """``rows`` as CSV text with ``\n`` line ends; a cell that holds a comma,
+    a quote or a newline is quoted, and a float is written ``repr``, its
+    shortest round-trip form."""
+    import csv
+    import io
+
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
+
+
 def _fmt(value, digits):
     return "undefined" if value is None else f"{value:.{digits}f}"
 
@@ -110,12 +122,7 @@ def _cmd_describe(args):
         ("kurtosis", _fmt(stats.kurtosis, 2)),
     ]
     if args.format == "csv":
-        text = (
-            ",".join(name for name, _ in fields)
-            + "\n"
-            + ",".join(value for _, value in fields)
-            + "\n"
-        )
+        text = _csv_text(zip(*fields))
     else:
         width = max(len(name) for name, _ in fields)
         text = "".join(f"{name:<{width}}  {value}\n" for name, value in fields)
@@ -156,20 +163,13 @@ def _cmd_report(args):
         label=label,
     )
     if args.format == "csv":
-        import csv
-        import io
-
-        # csv.writer quotes a label that holds a comma, a quote or a newline
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["label", "gini", "v", "gim", "ci_low", "ci_high", "level", "se_method"])
-        for entry in row.entries:
-            writer.writerow([
-                row.label, f"{row.gini:.6g}", entry.v, f"{entry.value:.6g}",
-                f"{entry.ci_low:.6g}", f"{entry.ci_high:.6g}", f"{args.ci:g}",
-                entry.se_method,
-            ])
-        text = buffer.getvalue()
+        # the level as given: a float cell reads back as the same float
+        text = _csv_text([
+            ["label", "gini", "v", "gim", "ci_low", "ci_high", "level", "se_method"],
+            *([row.label, f"{row.gini:.6g}", entry.v, f"{entry.value:.6g}",
+               f"{entry.ci_low:.6g}", f"{entry.ci_high:.6g}", args.ci, entry.se_method]
+              for entry in row.entries),
+        ])
     else:
         lines = [
             f"dataset: {row.label}",

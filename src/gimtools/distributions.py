@@ -120,9 +120,10 @@ class Distribution:
     density Q'(u) = 1/f(Q(u))), ``_times_scale(x)`` (x times the scale c
     of the member, whose Q is c times its unit-scale member's; ``inf`` past
     the float range), ``_unit_qd_size()`` (the factor that sets the size of
-    the unit-scale member's Q': 1, 1/shape or sdlog) and, where one exists,
-    ``_closed_extremes(v)`` and ``_closed_gim(v)`` (GIM(v) with its numerator
-    taken directly, not as a difference of the two moments).  This class
+    the unit-scale member's Q': 1, 1/shape or sdlog), ``_closed_extremes(v)``
+    ((E max_v, E min_v) in closed form, or None for the quadrature) and,
+    where one exists, ``_closed_gim(v)`` (GIM(v) with its numerator taken
+    directly, not as a difference of the two moments).  This class
     owns the parameter check, the argument contract of the public methods
     and the ``params_label``.
     """
@@ -156,9 +157,6 @@ class Distribution:
     def quantile_density(self, u):
         """Quantile density Q'(u) = 1 / f(Q(u)) for u in (0, 1)."""
         return _evaluate(self._qd, u, probability=True)
-
-    def _closed_extremes(self, v):
-        return None  # no closed form; quadrature fallback
 
     def _closed_gim(self, v):
         return None  # no numerator-first form; the ratio of the extreme moments

@@ -9,7 +9,16 @@ import numpy as np
 
 
 class GimError(Exception):
-    """Base class for all gimtools errors."""
+    """Base class for all gimtools errors.
+
+    ``line`` is the 1-based input line the error names, or None.  An error
+    raised with one reads ``line N: message``, so every CSV error, whatever
+    its type, carries the line its message names.
+    """
+
+    def __init__(self, message, line=None):
+        super().__init__(message if line is None else f"line {line}: {message}")
+        self.line = line
 
 
 # --- sample construction -------------------------------------------------
@@ -71,11 +80,7 @@ class EmptyGrid(GimError):
 
 
 class ParseError(GimError):
-    """Raised when an input file cannot be parsed; carries a line number."""
-
-    def __init__(self, message, line=None):
-        super().__init__(message if line is None else f"line {line}: {message}")
-        self.line = line
+    """Raised when an input file cannot be parsed (``line``: where, if known)."""
 
 
 class EmptyColumn(GimError):

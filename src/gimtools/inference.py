@@ -43,7 +43,7 @@ from .distributions import _ndtri_lower, _on_mesh
 from .errors import InvalidArgument, InvalidLevel, InvalidStdError, SampleTooSmall, ZeroMean
 from .measures import (_BLOCK, _check_order, _estimate, _powers, _unscale, _ustat_sums,
                        extreme_weights, gim_ratio)
-from .samples import as_sample
+from .samples import IncomeSample, as_sample
 
 METHODS = ("plugin", "jackknife")
 
@@ -173,7 +173,7 @@ def _deviations(s, v, kind):
         raise ZeroMean("GIM undefined for a leave-one-out sample: deleting the only nonzero "
                        "income leaves an all-zero sample")
     if v == 1 or values[0] == values[-1]:
-        return _estimate(kind, values[:m], v).value, np.zeros(n), {}
+        return _estimate(kind, IncomeSample(values[:m]), v).value, np.zeros(n), {}
     # The size-n pair times c = n/(n-v) (ustat) or (n/m)**v (edf) is the
     # size-m build and one entry more: the max side's top and the min
     # side's bottom, the same entry for ustat, v/m (the build's) for edf.
@@ -241,7 +241,8 @@ def _deviations(s, v, kind):
         dev *= hi
         dev -= np.multiply(t, lo, out=t)
         dev /= np.multiply(r, d / 2, out=r)
-    direct = {k: _estimate(kind, np.delete(values, k), v).value for k in direct}
+    # a deletion from a sorted, valid sample is one too: not validated or sorted again
+    direct = {k: _estimate(kind, IncomeSample(np.delete(values, k)), v).value for k in direct}
     out[list(direct)] = np.subtract(list(direct.values()), theta)
     return theta, out, direct
 

@@ -216,9 +216,8 @@ def _read_rows(reader, index, line):
             except ValueError:
                 raise ParseError(f"not a number: {cell!r}", line=line + reader.line_num) from None
             if not 0.0 <= value < math.inf:
-                if value < 0:
-                    raise NegativeIncome(f"line {line + reader.line_num}: negative income {value!r}")
-                raise NonFinite(f"line {line + reader.line_num}: non-finite income {value!r}")
+                error, what = (NegativeIncome, "negative") if value < 0 else (NonFinite, "non-finite")
+                raise error(f"{what} income {value!r}", line=line + reader.line_num)
             values.append(value)
     except csv.Error as exc:  # a field past the csv size limit
         raise ParseError(str(exc), line=line + reader.line_num) from None
@@ -246,39 +245,30 @@ class DescriptiveStats:
     kurtosis: float
 
 
-def _scaled_spread(s):
-    """``(sd, centered)``: the sd of ``s`` (divisor n-1), and deviations.
-
-    Both come from the :meth:`IncomeSample.scaled` values, so no square
-    overflows near the float maximum or underflows near its minimum.
-    ``centered`` stays at that scale (fit for scale-free moment ratios);
-    ``sd`` is scaled back.  Needs ``s.n >= 2``.
-    """
-    x, exponent = s.scaled()
-    centered = x - np.mean(x)
-    sd = math.sqrt(float(np.sum(centered * centered)) / (s.n - 1))
-    return float(np.ldexp(sd, exponent)), centered
-
-
 def describe(s):
-    """Descriptive statistics of a sample (see :class:`DescriptiveStats`)."""
+    """Descriptive statistics of a sample (see :class:`DescriptiveStats`).
+
+    The mean, the sd and the shape moments all come from one
+    :meth:`IncomeSample.scaled` copy, centred in place, so no square
+    overflows near the float maximum or underflows near its minimum; the
+    mean and the sd are scaled back, and the moment ratios are scale-free.
+    """
     s = as_sample(s)
-    x = s.values
-    low = float(x[0])
-    high = float(x[-1])
-    sd = None
-    skewness = None
-    kurtosis = None
+    low, high = float(s.values[0]), float(s.values[-1])
+    x, exponent = s.scaled()
+    center = np.mean(x)
+    x -= center
+    sd = skewness = kurtosis = None
     if s.n >= 2:
-        sd, centered = _scaled_spread(s)
+        sd = float(np.ldexp(math.sqrt(float(np.sum(x * x)) / (s.n - 1)), exponent))
     if s.n >= 3:
-        m2 = float(np.mean(centered**2))
+        m2 = float(np.mean(x**2))
         if m2 > 0.0:
-            skewness = float(np.mean(centered**3)) / m2**1.5
-            kurtosis = float(np.mean(centered**4)) / m2**2
+            skewness = float(np.mean(x**3)) / m2**1.5
+            kurtosis = float(np.mean(x**4)) / m2**2
     return DescriptiveStats(
         n=s.n,
-        mean=s.mean(),
+        mean=float(np.ldexp(center, exponent)),
         sd=sd,
         min=low,
         max=high,

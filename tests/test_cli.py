@@ -132,6 +132,20 @@ def test_report_ci_next_to_one(fixture_csv, capsys):
     assert 0.0 <= float(cells[4]) <= float(cells[3]) <= float(cells[5]) <= 1.0
 
 
+@pytest.mark.parametrize("level", ["0.9999999", "0.99999995", "0.9999999999999999", "0.95",
+                                   "0.123456789"])
+def test_report_csv_prints_the_level_as_given(fixture_csv, capsys, level):
+    """The level cell reads back as the float given, never a rounded 1 the CLI rejects."""
+    rc = main(["report", "--input", str(fixture_csv), "--v", "2,3", "--ci", level,
+               "--format", "csv"])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    rows = list(csv.reader(io.StringIO(captured.out)))
+    assert [float(cells[6]) for cells in rows[1:]] == [float(level)] * 2
+    if level == "0.95":
+        assert rows[1][6] == "0.95"
+
+
 def test_report_csv_quotes_label_with_comma(fixture_csv, capsys):
     rc = main(
         ["report", "--input", str(fixture_csv), "--v", "2,3", "--format", "csv",
@@ -147,6 +161,13 @@ def test_report_csv_quotes_label_with_comma(fixture_csv, capsys):
 def test_report_rejects_bad_order_list(fixture_csv, capsys):
     with pytest.raises(SystemExit):
         main(["report", "--input", str(fixture_csv), "--v", "two"])
+
+
+def test_report_rejects_an_order_list_of_separators_alone(fixture_csv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["report", "--input", str(fixture_csv), "--v", ","])
+    assert info.value.code == 2
+    assert "argument --v: bad order list ','" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("level", ["1", "0", "nan"])
@@ -296,6 +317,15 @@ def test_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert "all checks passed" in out
     assert "FAIL" not in out
+
+
+def test_selftest_reports_a_failed_check(monkeypatch, capsys):
+    monkeypatch.setattr("gimtools.cli.max_moment_u", lambda data, v: 0.0)
+    assert main(["selftest"]) == 1
+    captured = capsys.readouterr()
+    assert "FAIL  pair extreme moments of [1,2,3]\n" in captured.out
+    assert "all checks passed" not in captured.out
+    assert captured.err == "1 check(s) failed\n"
 
 
 def test_missing_input_exits_one(tmp_path, capsys):

@@ -333,6 +333,12 @@ def test_pareto_extremes_closed_form():
     assert_allclose(e_max2, 2 * 1.5 - 6.0 / 5.0, rtol=1e-13)
 
 
+def test_lognormal_extremes_of_one_are_the_mean():
+    d = Lognormal(0.0, 1.0)
+    assert theoretical_extremes(d, 1) == (d.mean(), d.mean())
+    assert_allclose(d.mean(), math.exp(0.5), rtol=1e-15)
+
+
 def test_lognormal_max_of_two_closed_form():
     mu, sigma = 0.3, 0.8
     d = Lognormal(mu, sigma)

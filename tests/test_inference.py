@@ -182,6 +182,43 @@ def test_jackknife_positive_on_spread_samples():
     assert ve.variance > 0.0
 
 
+@pytest.mark.parametrize(
+    "values,v",
+    [
+        (np.r_[np.random.default_rng(4).lognormal(size=3000), 1e300], 3),  # dominant top
+        (np.r_[np.full(40, 2.0), 9.0], 2),  # deleting the top leaves a constant sample
+        (np.random.default_rng(5).lognormal(size=50), 1),
+        (np.full(30, 5.0), 2),
+    ],
+    ids=["dominant-top", "one-apart", "v1", "constant"],
+)
+def test_jackknife_takes_direct_deletions_without_rebuilding_a_sample(monkeypatch, values, v):
+    """A deletion from a sorted, valid sample is estimated as it stands: no
+    :func:`make_sample` (validation and a sort) runs inside the jackknife."""
+    s = make_sample(values)
+    want = jackknife_variance(s, v)
+    direct = []
+    estimate = inference._estimate
+    monkeypatch.setattr(inference, "_estimate", lambda *args: direct.append(args) or estimate(*args))
+
+    def refuse(raw):
+        raise AssertionError("make_sample called")
+
+    monkeypatch.setattr("gimtools.samples.make_sample", refuse)
+    assert jackknife_variance(s, v) == want
+    assert direct  # at least one deletion was taken directly
+
+
+def test_projection_variance_needs_two_observations():
+    with pytest.raises(SampleTooSmall, match="projection variance needs at least 2 observations"):
+        projection_variance([5.0], 1)
+
+
+def test_leave_one_out_needs_one_more_than_the_order():
+    with pytest.raises(SampleTooSmall, match=r"leave-one-out of order v=2 needs at least 3 observations"):
+        leave_one_out([1.0, 2.0], 2)
+
+
 def test_jackknife_sample_size_guard():
     with pytest.raises(SampleTooSmall):
         jackknife_variance(make_sample([1.0, 2.0]), 2)

@@ -460,6 +460,16 @@ def test_moments_match_enumeration():
             assert abs((e_max + e_min) - slow.denominator) <= 1e-10 * slow.denominator
 
 
+def test_naive_oracle_rejects_an_all_zero_sample():
+    with pytest.raises(ZeroMean, match="GIM undefined for an all-zero sample"):
+        gim_ustat_naive([0, 0, 0], 2)
+
+
+def test_gini_needs_two_observations():
+    with pytest.raises(SampleTooSmall, match="Gini index needs at least 2 observations"):
+        gini_ustat([3.0])
+
+
 def test_naive_enumeration_guard():
     s = make_sample(np.ones(80))
     with pytest.raises(EnumerationTooLarge):

@@ -86,6 +86,39 @@ def test_ingest_non_finite_reports_line(tmp_path, cell):
         ingest_csv(path, column="income")
 
 
+@pytest.mark.parametrize(
+    "text,error,line,message",
+    [
+        ("income\n10\n-3\n", NegativeIncome, 3, "negative income -3.0"),
+        ("income\n10\n20\nnan\n30\n", NonFinite, 4, "non-finite income nan"),
+        ('name,income\n"Ana\nMaria",5\nBo,inf\n', NonFinite, 4, "non-finite income inf"),
+    ],
+    ids=["negative", "nan", "after-a-multi-line-name"],
+)
+def test_ingest_value_errors_carry_their_line(tmp_path, text, error, line, message):
+    """Every CSV error has ``.line``, the line its message names."""
+    path = write(tmp_path, text)
+    with pytest.raises(error) as info:
+        ingest_csv(path, column="income")
+    assert info.value.line == line
+    assert str(info.value) == f"line {line}: {message}"
+
+
+def test_gim_error_without_a_line_keeps_its_message():
+    assert GimError("no line").line is None
+    assert str(NegativeIncome("negative income at position 0: -1.0")) == (
+        "negative income at position 0: -1.0"
+    )
+    assert str(ParseError("bad", line=7)) == "line 7: bad"
+
+
+def test_ingest_empty_file(tmp_path):
+    path = write(tmp_path, "")
+    with pytest.raises(EmptyColumn, match=r"file is empty$") as info:
+        ingest_csv(path)
+    assert info.value.line is None
+
+
 def test_ingest_non_numeric_reports_line(tmp_path):
     path = write(tmp_path, "income\n10\ntwenty\n")
     with pytest.raises(ParseError) as info:

@@ -325,6 +325,7 @@ def test_load_grid_config_defaults(tmp_path):
         ("[run]\nseed = 5%\n[pareto]\n", "bad section [run]"),
         ("[pareto]\nshape\n", "line 2: neither a [section] header nor a 'name = value' option"),
         (b"[pareto]\nshape = 2\xff\n", "can't decode byte 0xff"),
+        ("[run]\nreplications = many\n[exponential]\n", "bad [run] value in"),
     ],
 )
 def test_load_grid_config_rejects(tmp_path, text, fragment):
