@@ -103,8 +103,14 @@ def _csv_text(rows):
     return buffer.getvalue()
 
 
-def _fmt(value, digits):
-    return "undefined" if value is None else f"{value:.{digits}f}"
+def _fmt(value, money=False):
+    """Two decimals; a money cell that two decimals would blur (a nonzero
+    magnitude below 0.01 or from 1e15 up) prints ``:.6g``, as ``report`` does."""
+    if value is None:
+        return "undefined"
+    if money and value != 0 and not 0.01 <= abs(value) < 1e15:
+        return f"{value:.6g}"
+    return f"{value:.2f}"
 
 
 def _cmd_describe(args):
@@ -113,13 +119,13 @@ def _cmd_describe(args):
     stats = describe(_read_sample(args))
     fields = [
         ("n", str(stats.n)),
-        ("mean", _fmt(stats.mean, 2)),
-        ("sd", _fmt(stats.sd, 2)),
-        ("min", _fmt(stats.min, 2)),
-        ("max", _fmt(stats.max, 2)),
-        ("range", _fmt(stats.range, 2)),
-        ("skewness", _fmt(stats.skewness, 2)),
-        ("kurtosis", _fmt(stats.kurtosis, 2)),
+        ("mean", _fmt(stats.mean, money=True)),
+        ("sd", _fmt(stats.sd, money=True)),
+        ("min", _fmt(stats.min, money=True)),
+        ("max", _fmt(stats.max, money=True)),
+        ("range", _fmt(stats.range, money=True)),
+        ("skewness", _fmt(stats.skewness)),
+        ("kurtosis", _fmt(stats.kurtosis)),
     ]
     if args.format == "csv":
         text = _csv_text(zip(*fields))

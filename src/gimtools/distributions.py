@@ -115,8 +115,11 @@ class Distribution:
     """Common behavior of the parametric families.
 
     A family is its dataclass parameters plus its math: ``_cdf(x)`` and
-    ``_pdf(x)`` on float arrays, ``_q(u, cu)`` (the quantile evaluated
-    stably from both u and its complement) and ``_qd(u, cu)`` (the quantile
+    ``_pdf(x)`` on float arrays, ``_q(u, cu, out=None, scratch=None)`` (the
+    quantile evaluated stably from both u and its complement, as a fresh
+    array; or, given ``out``, contiguous and shaped like u or u itself, into
+    ``out``, with ``cu`` and the rows of ``scratch`` (see
+    :func:`_ndtri_lower`) overwritten as temporaries) and ``_qd(u, cu)`` (the quantile
     density Q'(u) = 1/f(Q(u))), ``_times_scale(x)`` (x times the scale c
     of the member, whose Q is c times its unit-scale member's; ``inf`` past
     the float range), ``_unit_qd_size()`` (the factor that sets the size of
@@ -203,8 +206,10 @@ class Exponential(Distribution):
     def _pdf(self, x):
         return np.where(x < 0, 0.0, self.rate * np.exp(-self.rate * np.maximum(x, 0.0)))
 
-    def _q(self, u, cu):
-        return -np.log(cu) / self.rate
+    def _q(self, u, cu, out=None, scratch=None):
+        q = np.log(cu, out=out)
+        q = np.negative(q, out=out)
+        return np.divide(q, self.rate, out=out)
 
     def _qd(self, u, cu):
         return 1.0 / (self.rate * cu)
@@ -246,8 +251,9 @@ class Pareto(Distribution):
         # (scale / x) ** shape <= 1, where scale ** shape alone can overflow
         return np.where(x >= self.scale, self.shape / safe * (self.scale / safe) ** self.shape, 0.0)
 
-    def _q(self, u, cu):
-        return self.scale * cu ** (-1.0 / self.shape)
+    def _q(self, u, cu, out=None, scratch=None):
+        q = np.power(cu, -1.0 / self.shape, out=out)
+        return np.multiply(q, self.scale, out=out)
 
     def _qd(self, u, cu):
         return (self.scale / self.shape) * cu ** (-1.0 - 1.0 / self.shape)
@@ -342,9 +348,9 @@ _EXP_M2 = 0.13533528323661269189  # exp(-2), where the central branch ends
 _NDTRI_S2PI = 2.50662827463100050242
 
 
-def _polevl(x, coef):
+def _polevl(x, coef, out=None):
     """Horner's rule, highest power first (Cephes ``polevl``), on an array."""
-    ans = x * coef[0]
+    ans = np.multiply(x, coef[0], out=out)
     ans += coef[1]
     for c in coef[2:]:
         ans *= x
@@ -352,44 +358,91 @@ def _polevl(x, coef):
     return ans
 
 
-def _p1evl(x, coef):
+def _p1evl(x, coef, out=None):
     """Horner's rule for a monic polynomial whose leading 1 is implied."""
-    ans = x + coef[0]
+    ans = np.add(x, coef[0], out=out)
     for c in coef[1:]:
         ans *= x
         ans += c
     return ans
 
 
-def _ndtri_lower(y):
+# the rows of scratch that _ndtri_lower, and so any family's _q, may use
+_QUANTILE_SCRATCH = 4
+
+
+def _row(scratch, i, size):
+    """The first ``size`` values of row ``i`` of ``scratch``; None (a fresh array) without it."""
+    return None if scratch is None else scratch[i, :size]
+
+
+def _tail_t(flat, tail, out):
+    """sqrt(-2 log y) of the elements ``tail`` of ``flat``, in ``out`` (None: a fresh array)."""
+    t = np.take(flat, tail, mode="clip", out=out)
+    np.log(t, out=t)
+    t *= -2.0
+    return np.sqrt(t, out=t)
+
+
+def _ndtri_lower(y, out=None, scratch=None):
     """Standard normal quantile for ``y`` in (0, 0.5], as Cephes ``ndtri``.
 
     Each branch runs only on its own elements, gathered by index: on random
     uniforms a boolean mask costs a mispredicted branch per element.
     Against ``scipy.special.ndtri`` the central branch is bit-identical and
     the tails are within 2 ULP, down to subnormal ``y``.
+
+    By default the result and every temporary are fresh arrays and ``y`` is
+    only read.  A caller that reuses buffers passes ``out``, a contiguous
+    array shaped like ``y`` that may be ``y`` itself (each branch gathers its
+    elements before any result lands on them), and ``scratch``, a float
+    array of ``_QUANTILE_SCRATCH`` rows of at least ``y.size`` values that
+    must alias neither: the gathered values and the Horner terms of each
+    branch go there.  Only the masks and index arrays are allocated then.
     """
     y = np.asarray(y, dtype=float)
-    flat = y.ravel()
-    x = np.empty_like(flat)
+    flat = y.reshape(-1)
+    x = np.empty_like(flat) if out is None else out.reshape(-1)
     is_central = flat > _EXP_M2
     central = np.flatnonzero(is_central)
-    yc = flat[central] - 0.5
-    y2 = yc * yc
-    x[central] = (yc + yc * (y2 * _polevl(y2, _NDTRI_P0) / _p1evl(y2, _NDTRI_Q0))) * _NDTRI_S2PI
-    tail = np.flatnonzero(~is_central)
-    t = np.sqrt(-2.0 * np.log(flat[tail]))
-    x0 = t - np.log(t) / t
-    z = 1.0 / t
-    x1 = np.empty_like(t)
-    near = t < 8.0
-    zn = z[near]
-    x1[near] = zn * _polevl(zn, _NDTRI_P1) / _p1evl(zn, _NDTRI_Q1)
-    far = ~near
-    zf = z[far]
-    x1[far] = zf * _polevl(zf, _NDTRI_P2) / _p1evl(zf, _NDTRI_Q2)
-    x[tail] = -(x0 - x1)
-    return x.reshape(y.shape)
+    k = central.size
+    # mode="clip": the indices are valid, and "raise" would buffer a copy of out
+    yc = np.take(flat, central, mode="clip", out=_row(scratch, 0, k))
+    yc -= 0.5
+    y2 = np.multiply(yc, yc, out=_row(scratch, 1, k))
+    # yc and t are gathered twice, so four scratch rows serve both branches
+    x_c = _polevl(y2, _NDTRI_P0, yc)
+    x_c *= y2
+    x_c /= _p1evl(y2, _NDTRI_Q0, _row(scratch, 2, k))
+    yc = np.take(flat, central, mode="clip", out=y2)
+    yc -= 0.5
+    x_c *= yc
+    x_c += yc
+    x_c *= _NDTRI_S2PI  # (yc + yc * (y2 * P0 / Q0)) * s2pi
+    x[central] = x_c
+
+    tail = np.flatnonzero(np.logical_not(is_central, out=is_central))
+    k = tail.size
+    t = _tail_t(flat, tail, _row(scratch, 0, k))
+    is_near = t < 8.0
+    z = np.divide(1.0, t, out=t)  # and z's gathered branches write back x1 = z P / Q
+    for branch, p, q in (
+        (np.flatnonzero(is_near), _NDTRI_P1, _NDTRI_Q1),
+        (np.flatnonzero(np.logical_not(is_near, out=is_near)), _NDTRI_P2, _NDTRI_Q2),
+    ):
+        j = branch.size
+        zb = np.take(z, branch, mode="clip", out=_row(scratch, 1, j))
+        x1 = _polevl(zb, p, _row(scratch, 2, j))
+        x1 *= zb
+        x1 /= _p1evl(zb, q, _row(scratch, 3, j))
+        z[branch] = x1
+    t = _tail_t(flat, tail, _row(scratch, 1, k))
+    x0 = np.log(t, out=_row(scratch, 2, k))
+    x0 /= t
+    np.subtract(t, x0, out=x0)  # t - log(t) / t
+    np.subtract(x0, z, out=x0)
+    x[tail] = np.negative(x0, out=x0)  # -(x0 - x1)
+    return x.reshape(y.shape) if out is None else out
 
 
 def _ndtr(a):
@@ -426,14 +479,23 @@ class Lognormal(Distribution):
         inside, safe, z = self._standardized_log(x)
         return np.where(inside, np.exp(-0.5 * z * z) / (safe * self.sdlog * _SQRT_2PI), 0.0)
 
-    def _z(self, u, cu):
+    def _z(self, u, cu, out=None, scratch=None):
         # standard normal quantile from whichever tail is accurate, its sign
         # taken from u; where u + cu == 1 this is ndtri(u) bit for bit (a
-        # node within a few ULP of 1/2 that breaks it moves z by a few ULP)
-        return np.copysign(_ndtri_lower(np.minimum(u, cu)), u - 0.5)
+        # node within a few ULP of 1/2 that breaks it moves z by a few ULP).
+        # With out, cu holds min(u, cu) and then its ndtri, and out holds
+        # u - 0.5 and then z; u is read before out is written
+        buffers = out is not None
+        y = np.minimum(u, cu, out=cu if buffers else None)
+        sign = np.subtract(u, 0.5, out=out)
+        z = _ndtri_lower(y, y if buffers else None, scratch)
+        return np.copysign(z, sign, out=out)
 
-    def _q(self, u, cu):
-        return np.exp(self.meanlog + self.sdlog * self._z(u, cu))
+    def _q(self, u, cu, out=None, scratch=None):
+        q = self._z(u, cu, out, scratch)
+        q = np.multiply(q, self.sdlog, out=out)
+        q = np.add(q, self.meanlog, out=out)
+        return np.exp(q, out=out)
 
     def _qd(self, u, cu):
         z = self._z(u, cu)
@@ -497,14 +559,22 @@ FAMILIES = {
 }
 
 
-def inverse_transform(dist, u):
+def inverse_transform(dist, u, work=None):
     """Sorted draws (last axis) of ``dist`` from uniforms ``u``, clamped in place.
 
-    A draw past the float range raises NonFinite naming ``dist``.
+    Without ``work`` the draws are a fresh array.  With it, a float array of
+    ``1 + _QUANTILE_SCRATCH`` rows of ``u.size`` values, the draws replace
+    ``u`` in place and ``1 - u`` and the quantile's temporaries live in its
+    rows, so no array of draws' size is allocated.  A draw past the float
+    range raises NonFinite naming ``dist``.
     """
     np.maximum(u, _MIN_UNIFORM, out=u)
+    if work is None:
+        cu, out, scratch = None, None, None
+    else:
+        cu, out, scratch = work[0].reshape(u.shape), u, work[1:]
     with np.errstate(over="ignore"):
-        x = dist._q(u, 1.0 - u)
+        x = dist._q(u, np.subtract(1.0, u, out=cu), out, scratch)
     x.sort(axis=-1)
     if not np.isfinite(x[..., -1]).all():  # the sort puts inf and NaN last
         raise NonFinite(f"draws of {dist!r} leave the float range")

@@ -52,6 +52,27 @@ def test_describe_csv_format(fixture_csv, capsys):
     assert out[1].split(",")[:3] == ["5", "2.00", "1.58"]
 
 
+@pytest.mark.parametrize(
+    "incomes, row",
+    [
+        # two decimals would print 309-digit integers and a minimum of 0.00
+        (["1e308", "1.7e308", "5e-324", "1e300"],
+         ["4", "6.75e+307", "8.30161e+307", "4.94066e-324", "1.7e+308", "1.7e+308", "0.33", "1.43"]),
+        # and 0.00 for every positive income; skewness keeps its two decimals
+        (["1e-10", "3e-10", "2e-10"], ["3", "2e-10", "1e-10", "1e-10", "3e-10", "2e-10", "-0.00", "1.50"]),
+    ],
+    ids=["huge", "tiny"],
+)
+def test_describe_keeps_the_digits_of_huge_and_tiny_incomes(tmp_path, capsys, incomes, row):
+    path = tmp_path / "incomes.csv"
+    path.write_text("income\n" + "\n".join(incomes) + "\n")
+    names = ["n", "mean", "sd", "min", "max", "range", "skewness", "kurtosis"]
+    assert main(["describe", "--input", str(path), "--format", "csv"]) == 0
+    assert capsys.readouterr().out == ",".join(names) + "\n" + ",".join(row) + "\n"
+    assert main(["describe", "--input", str(path)]) == 0
+    assert capsys.readouterr().out == "".join(f"{name:<8}  {cell}\n" for name, cell in zip(names, row))
+
+
 def test_describe_undefined_markers(tmp_path, capsys):
     path = tmp_path / "one.csv"
     path.write_text("income\n42\n")

@@ -114,6 +114,46 @@ def test_run_cell_crosses_chunk_boundary():
             assert getattr(res, f"mc_se_{tag}") == mc_se
 
 
+# a uniform in each branch of the quantile: 0.0 (clamped to 2**-53, the
+# Cephes far tail, t >= 8), the near tail, both sides of the central/tail
+# edge at exp(-2), the centre, and the top uniform, whose 1 - u is 2**-53
+PLANTED = np.array([
+    0.0, 1e-13, np.nextafter(math.exp(-2.0), 0.0), math.exp(-2.0), np.nextafter(math.exp(-2.0), 1.0),
+    0.5, 1.0 - 2.0**-53, 1.0 - 1e-13, 1.0 - math.exp(-2.0),
+])
+
+
+@pytest.mark.parametrize("dist", [Exponential(1.0), Pareto(3.0, 1.0), Lognormal(0.0, 0.5)], ids=lambda d: d.name)
+def test_run_cell_quantile_branches_in_place(dist):
+    """Planted uniforms reach every branch of the in-place quantile, and
+    each row's draws are the sorted out-of-place quantile, bit for bit."""
+    rows = np.array([np.roll(PLANTED, r) for r in range(4)])
+    draws = []
+
+    def planted(stream):
+        def fill(out, first):
+            out[:] = rows[first : first + len(out)]
+            return out
+
+        return fill
+
+    transform = simulation.inverse_transform
+
+    def recorded(dist, u, work):
+        x = transform(dist, u, work)
+        draws.append(x.copy())  # before run_cell scales it in place
+        return x
+
+    cell = SimCell(dist, n=len(PLANTED), v=2, replications=len(rows), base_seed=1)
+    with mock.patch.object(simulation, "_stream_rows", planted), \
+            mock.patch.object(simulation, "inverse_transform", recorded):
+        run_cell(cell)
+    u = np.maximum(rows, 2.0**-53)
+    given = u.copy()
+    assert np.array_equal(np.concatenate(draws), np.sort(dist.quantile(u), axis=-1))
+    assert np.array_equal(u, given)  # the out-of-place quantile only reads u
+
+
 @pytest.mark.parametrize("dist", [Lognormal(0.0, 1.0), Pareto(3.0, 1.0)], ids=lambda d: d.name)
 def test_run_cell_working_set_is_bounded_by_the_cache_block(dist):
     """A chunk holds at most _BLOCK draws, so a cell of 600 samples of 4000
@@ -164,11 +204,18 @@ def test_run_cell_deterministic_across_runs_and_workers():
         SimCell(Exponential(2.0), n=8, v=2, replications=513, base_seed=77),
         SimCell(Lognormal(0.0, 0.5), n=30, v=3, replications=600, base_seed=5),
         SimCell(Pareto(3.0, 1.0), n=60, v=3, replications=600, base_seed=11),
+        # the cell's one workspace at its edges: a last chunk shorter than
+        # the first, whose rows past it hold stale values, and one-row chunks
+        # of more than a block
+        SimCell(Lognormal(0.0, 1.0), n=200, v=3, replications=_BLOCK // 200 + 1, base_seed=8),
+        SimCell(Lognormal(0.0, 0.5), n=_BLOCK + 1, v=2, replications=3, base_seed=4),
+        SimCell(Exponential(1.0), n=3000, v=3, replications=11, base_seed=21),
+        SimCell(Pareto(2.5, 1.0), n=100, v=2, replications=_BLOCK // 100 + 7, base_seed=12),
     ],
     ids=lambda cell: f"{cell.dist.name}-n{cell.n}-v{cell.v}",
 )
 def test_run_cell_equals_library_estimators_exactly(cell):
-    """The batched harness and gim_ustat/gim_edf share one core, bit for bit."""
+    """The batched harness and gim_ustat/gim_edf share one layout, bit for bit."""
     res = run_cell(cell)
     est_u, est_e = hand_run(cell)
     truth = theoretical_gim(cell.dist, cell.v)
