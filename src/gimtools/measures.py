@@ -18,8 +18,10 @@ estimators are provided:
 Both are estimates of the same two moments, so each estimator kind is just
 a pair of order-statistic weights (``extreme_weights``), and one summation
 core (``extreme_sums``) serves both estimators; the batched Monte Carlo
-harness sums its chunks in the same layout, scaled once in place for both,
-and the O(n) jackknife sums the same weights itself.  The min-of-v
+harness sums its chunks in the same layout, scaled once in place and
+summed for both kinds at once (the min side through a reversed view, which
+numpy adds in its given order), and the O(n) jackknife sums the same
+weights itself.  The min-of-v
 weight of X_{i:n} is the max-of-v weight of X_{n+1-i:n}, so each kind keeps
 one weight array and reads its min side top-down, from the other end: the
 U-statistic pair is one array twice, and the plug-in pair two overlapping

@@ -185,10 +185,11 @@ def converge(evaluate, rtol):
     QuadratureNoConvergence
         If a rung's value is not finite, or the ladder is exhausted without
         two successive values agreeing; the message names the grading
-        depth reached and the last two values.  An all-zero value agrees
-        with no other.  Agreement only counts between *distinct* meshes: once the depth cap is reached the mesh
-        stops changing, and comparing a mesh to itself would declare
-        convergence for any integrand, however hostile.
+        depth reached and the last two values, as plain floats.  An
+        all-zero value agrees with no other.  Agreement only counts between
+        *distinct* meshes: once the depth cap is reached the mesh stops
+        changing, and comparing a mesh to itself would declare convergence
+        for any integrand, however hostile.
     """
     levels = 6
     values = []
@@ -211,6 +212,5 @@ def converge(evaluate, rtol):
         levels *= 2
         if min(levels, MAX_LEVELS) <= depth:
             break  # grading exhausted; no fresh mesh left to compare
-    raise QuadratureNoConvergence(
-        f"{reason} at grading depth {depth}; last two values: {values[-2:]}"
-    )
+    last = [np.asarray(value).tolist() for value in values[-2:]]  # plain floats, every digit
+    raise QuadratureNoConvergence(f"{reason} at grading depth {depth}; last two values: {last}")

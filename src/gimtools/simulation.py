@@ -11,7 +11,8 @@ counter-based stream (cell.base_seed, r), so its estimate depends on the
 stream key alone, never on which chunk or call computed it.  A chunk holds
 at most one cache block of draws (``measures._BLOCK`` values, 128 KB), or
 one replication when n is larger, and works in a workspace the cell
-allocates once (see :func:`run_cell`).  Chunks run in index order on the
+allocates once, where both estimator kinds share one multiply and one sum
+per extreme (see :func:`run_cell`).  Chunks run in index order on the
 calling thread, and accumulation happens in a fixed order after all
 replications are stored by index, so the same seed gives byte-identical
 output across runs and machines.
@@ -83,15 +84,18 @@ def run_cell(cell):
     The cell allocates one workspace before its first chunk, six rows of
     one chunk's values each, and every chunk works on views of their first
     rows * n values, so a shorter last chunk never reads what a full one
-    left behind.  The uniforms fill row 0 and become the sorted draws in
+    left behind.  The uniforms fill row 0, through one view for every full
+    chunk, whose row views ``fill`` keeps, and become the sorted draws in
     place; ``1 - u`` and the quantile's temporaries (the lognormal's Cephes
-    branches) take the other rows.  The draws are then scaled once, in
-    place, for both estimator kinds, whose products share row 1.  Only
-    small arrays (per-row results, and the lognormal's masks and branch
-    indices) are allocated per chunk, so glibc malloc no longer grows and
-    trims the heap chunk after chunk: summed around each ``run_cell`` of
-    the default grid of 5000 replications (numpy 2.4), minor page faults
-    fell from 37.6k to 0.8k.
+    branches) take the other rows.  The draws are scaled once, in place,
+    for both estimator kinds, and rows 1-2 then hold both kinds' products
+    at once: one multiply by the (kinds, 1, n) max-side weights and one
+    sum give every E max, and one multiply by the min-side weights, read
+    bottom-up, and one sum of that product reversed give every E min, each
+    row added in ``extreme_sums``' order.  One ``gim_ratio`` call takes
+    both kinds.  Only small arrays (per-row results, and the lognormal's
+    masks and branch indices) are allocated per chunk, so glibc malloc does
+    not grow and trim the heap chunk after chunk.
     Every step works row by row, so the chunk size moves no estimate.
 
     Parameters
@@ -104,27 +108,34 @@ def run_cell(cell):
     """
     truth = theoretical_gim(cell.dist, cell.v)
     unit = cell.dist._unit_member()
-    weights = tuple(extreme_weights(kind, cell.n, cell.v) for kind in KINDS)
+    w_hi, w_lo = zip(*(extreme_weights(kind, cell.n, cell.v) for kind in KINDS))
+    # (kinds, 1, n): every kind's max-side weights, and its min-side weights
+    # read bottom-up, so that one multiply of the draws serves each side
+    w_max = np.stack(w_hi)[:, None]
+    w_min = np.stack([w[::-1] for w in w_lo])[:, None]
 
     reps, n = cell.replications, cell.n
     chunk = max(1, _BLOCK // n)
     fill = _stream_rows(SeededStream(cell.base_seed))  # one generator per cell
-    # row 0: the uniforms, then the draws; row 1: 1 - u, then the products;
-    # the rest: the quantile's temporaries
+    # row 0: the uniforms, then the draws; rows 1-2: 1 - u and the quantile's
+    # first temporary, then each kind's products; the rest: the quantile's
+    # other temporaries
     work = np.empty((2 + _QUANTILE_SCRATCH, min(chunk, reps) * n))
+    full = work[0].reshape(-1, n)  # one array for every full chunk, so fill keeps its rows
     estimates = np.empty((len(KINDS), reps))  # one row per estimator kind
     for lo in range(0, reps, chunk):
-        hi = min(lo + chunk, reps)
-        rows = work[:, : (hi - lo) * n]
-        x = inverse_transform(unit, fill(rows[0].reshape(hi - lo, n), lo), rows[1:])
+        rows = min(chunk, reps - lo)
+        u = full if rows == len(full) else work[0, : rows * n].reshape(rows, n)
+        x = inverse_transform(unit, fill(u, lo), work[1:, : rows * n])
         # extreme_sums' layout, with each row scaled once, in place, for both
         # kinds: the ratio never needs the power of two back
         np.ldexp(x, -np.frexp(x[:, -1:])[1], out=x)
-        products = rows[1].reshape(x.shape)
-        for est, (w_hi, w_lo) in zip(estimates, weights):
-            e_max = np.sum(np.multiply(x, w_hi, out=products), axis=-1)
-            e_min = np.sum(np.multiply(x[:, ::-1], w_lo, out=products), axis=-1) if cell.v > 1 else e_max
-            est[lo:hi] = gim_ratio(e_max, e_min)[0]
+        products = work[1:3, : rows * n].reshape(-1, rows, n)
+        e_max = np.sum(np.multiply(x, w_max, out=products), axis=-1)
+        # numpy sums a reversed view in its given order, so each row adds
+        # x[::-1] * w_lo from the left, as extreme_sums does
+        e_min = np.sum(np.multiply(x, w_min, out=products)[..., ::-1], axis=-1) if cell.v > 1 else e_max
+        estimates[:, lo : lo + rows] = gim_ratio(e_max, e_min)[0]
 
     summary = {}
     for kind, est in zip(KINDS, estimates):

@@ -5,6 +5,7 @@ import io
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -261,6 +262,14 @@ def test_simulate_default_grid_small(capsys):
     assert out.startswith("| family ")
     assert "exponential" in out and "pareto" in out and "lognormal" in out
     assert len(out.strip().split("\n")) == 2 + 36
+
+
+def test_simulate_prints_the_golden_table(capsys):
+    # byte for byte: a change that moves a printed digit regenerates
+    # tests/data/simulate_reps200_seed1.csv and says so
+    golden = (Path(__file__).parent / "data" / "simulate_reps200_seed1.csv").read_text()
+    assert main(["simulate", "--reps", "200", "--seed", "1", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == golden
 
 
 def test_simulate_defaults_come_from_the_simulation_module(monkeypatch):

@@ -33,7 +33,7 @@ from gimtools import (
     theoretical_gim,
 )
 from gimtools import quadrature
-from gimtools.distributions import FAMILIES, _ndtr, _ndtri_lower, _on_mesh, fill_stream_rows
+from gimtools.distributions import FAMILIES, _ndtr, _ndtri_lower, _on_mesh, _stream_rows, fill_stream_rows
 
 ALL_DISTS = [Exponential(1.0), Exponential(0.25), Pareto(3.0, 1.0), Pareto(1.7, 2.0), Lognormal(0.0, 1.0), Lognormal(1.0, 0.5)]
 
@@ -260,6 +260,37 @@ def test_fill_stream_rows_rejects_a_last_id_past_64_bits():
     out = fill_stream_rows(np.empty((2, 3)), 1, 2**64 - 2)
     assert np.array_equal(out[1], SeededStream(1, 2**64 - 1).generator().random(3))
     assert fill_stream_rows(np.empty((0, 3)), 1, 2**64 - 1).shape == (0, 3)
+
+
+def test_stream_rows_keeps_views_only_for_the_array_it_last_filled():
+    """One fill reuses its row views on the same array, and takes fresh ones
+    for a prefix of it, a fresh array or the same array reshaped in place:
+    every row is its stream, and no call writes through a stale view."""
+    def streams(first, rows, n):
+        return np.array([SeededStream(5, first + j).generator().random(n) for j in range(rows)])
+
+    fill = _stream_rows(SeededStream(5))
+    a = np.empty((4, 7))
+    assert fill(a, 0) is a
+    assert np.array_equal(a, streams(0, 4, 7))
+    fill(a, 10)  # the kept views
+    assert np.array_equal(a, streams(10, 4, 7))
+    fill(a[:2], 20)  # a prefix: its own two rows, a's others untouched
+    assert np.array_equal(a, np.vstack([streams(20, 2, 7), streams(12, 2, 7)]))
+    b = fill(np.empty((4, 7)), 30)
+    assert np.array_equal(b, streams(30, 4, 7))
+    assert np.array_equal(a[2:], streams(12, 2, 7))
+    fill(a, 40)
+    assert np.array_equal(a, streams(40, 4, 7))
+    assert np.array_equal(b, streams(30, 4, 7))
+    a.shape = (7, 4)  # the same object in a new layout
+    fill(a, 50)
+    assert np.array_equal(a, streams(50, 7, 4))
+    # the kept views still check the last stream id, before writing a row
+    with pytest.raises(InvalidArgument, match=r"^last stream_id must be an integer in \[0, 18446744073709551616\)"):
+        fill(a, 2**64 - 6)
+    assert np.array_equal(a, streams(50, 7, 4))
+    assert np.array_equal(fill(a, 2**64 - 7), streams(2**64 - 7, 7, 4))
 
 
 @pytest.mark.parametrize("bad", [-1, 2**64, 2.5, True])

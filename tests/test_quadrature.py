@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gimtools import Exponential, InvalidArgument, Lognormal, Pareto, QuadratureNoConvergence
+from gimtools import Exponential, InvalidArgument, Lognormal, Pareto, QuadratureNoConvergence, theoretical_gim
 from gimtools.quadrature import (
     GL_ORDER,
     MAX_LEVELS,
@@ -279,3 +279,18 @@ def test_converge_message_names_depth_and_last_values():
     # the ladder runs 6, 12, ..., 768, then 1536 capped at depth 900
     with pytest.raises(QuadratureNoConvergence, match=r"grading depth 900; last two values: \[768.0, 900.0\]"):
         converge(lambda levels: float(min(levels, MAX_LEVELS)), rtol=1e-12)
+
+
+def test_converge_message_prints_array_rungs_as_plain_floats():
+    # an array-valued ladder, as the lognormal moments run: every digit of
+    # each rung as a float, not numpy's 8-digit array repr
+    with pytest.raises(QuadratureNoConvergence) as info:
+        converge(lambda levels: np.array([1.0 - 1.0 / levels, 3.331644788785593e-117]), rtol=1e-12)
+    message = str(info.value)
+    assert "array(" not in message
+    assert message.endswith(
+        f"last two values: [[{1.0 - 1.0 / 768}, 3.331644788785593e-117], [{1.0 - 1.0 / 1536}, 3.331644788785593e-117]]"
+    )
+    with pytest.raises(QuadratureNoConvergence) as info:
+        theoretical_gim(Lognormal(0.0, 28.0), 3)
+    assert "array(" not in str(info.value)

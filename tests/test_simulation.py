@@ -211,6 +211,12 @@ def test_run_cell_deterministic_across_runs_and_workers():
         SimCell(Lognormal(0.0, 0.5), n=_BLOCK + 1, v=2, replications=3, base_seed=4),
         SimCell(Exponential(1.0), n=3000, v=3, replications=11, base_seed=21),
         SimCell(Pareto(2.5, 1.0), n=100, v=2, replications=_BLOCK // 100 + 7, base_seed=12),
+        # v = 1, where e_min is e_max; and rows of 3 and 5 values, which
+        # numpy's pairwise sum adds in a plain loop, the 5-value cell past
+        # its first chunk
+        SimCell(Lognormal(0.0, 0.5), n=20, v=1, replications=_BLOCK // 20 + 3, base_seed=13),
+        SimCell(Exponential(1.0), n=3, v=3, replications=300, base_seed=14),
+        SimCell(Pareto(3.0, 1.0), n=5, v=2, replications=_BLOCK // 5 + 2, base_seed=15),
     ],
     ids=lambda cell: f"{cell.dist.name}-n{cell.n}-v{cell.v}",
 )
