@@ -28,11 +28,15 @@ class IngestResult(NamedTuple):
     skipped: int
 
 
-# characters of CSV text per ``np.loadtxt`` call; each block ends at a line end.
-# The per-block buffers of 1 MiB blocks stayed on the heap and raised the
-# peak RSS of a 1e6-row `gim report` by 2-6 MB (glibc malloc); 64 KiB blocks
-# did not, at the same speed.
+# characters of CSV text per block; each block ends at a line end.  The
+# per-block buffers of 1 MiB blocks stayed on the heap and raised the peak
+# RSS of a 1e6-row `gim report` by 2-6 MB (glibc malloc); 64 KiB blocks did
+# not, at the same speed.
 _BLOCK = 1 << 16
+# lines per list handed to ``np.loadtxt``, which walks a list faster than a
+# StringIO.  One list of a whole block's lines read the 1e6-row ingest about
+# 5% faster, but raised that report's peak RSS by about 0.35 MB (pymalloc)
+_LINES = 1 << 8
 
 
 def ingest_csv(path, column=0, delimiter=",", has_header=True):
@@ -41,16 +45,19 @@ def ingest_csv(path, column=0, delimiter=",", has_header=True):
     The file is decoded once, as UTF-8: a leading byte-order mark is dropped,
     and an undecodable byte reads as a lone surrogate, which passes in another
     column and is a :class:`ParseError` in the income column.  ``np.loadtxt``
-    parses the body in blocks of 64 KiB.  A block holding anything the block
-    reader does not vouch for (quotes, a lone carriage return, blank or
-    whitespace cells other than a last-column income cell, text, NaN,
-    infinities, negatives, short rows, over-long fields) goes to a
-    ``csv.reader`` loop instead.  Without a quote the block ends at a record
-    boundary, so the loop reads that block alone and the next block goes
-    back to ``np.loadtxt``; from a block with a quote, the loop reads on to
-    the end of the file.  Both readers give the same values, skipped count
-    and errors; only the ``csv.reader`` loop raises, so every error carries
-    its line number.
+    parses the body in blocks of 64 KiB.  The block reader takes the line ends
+    (``\\n`` or ``\\r\\n``), the blank lines and the delimiters from the
+    block's UTF-8 bytes, appends a sentinel to each line whose last-column
+    income cell is blank, and hands ``np.loadtxt`` the lines in lists.  A
+    block holding anything the block reader does not vouch for (quotes, a
+    lone carriage return, blank or whitespace cells other than a last-column
+    income cell, text, NaN, infinities, negatives, short rows, over-long
+    fields) goes to a ``csv.reader`` loop instead.  Without a quote the block
+    ends at a record boundary, so the loop reads that block alone and the
+    next block goes back to ``np.loadtxt``; from a block with a quote, the
+    loop reads on to the end of the file.  Both readers give the same values,
+    skipped count and errors; only the ``csv.reader`` loop raises, so every
+    error carries its line number.
 
     Parameters
     ----------
@@ -148,50 +155,111 @@ def _column_index(reader, path, column, has_header):
 def _parse_block(text, delimiter, index):
     """``(values, skipped, lines)`` of one block parsed by ``np.loadtxt``, or None.
 
-    ``\\r\\n`` line ends read as ``\\n``.  Blank lines are counted as
-    skipped, and so is a blank income cell in the last column,
-    ``delimiter + "\\n"``, read as the sentinel -1.  The block is accepted
-    only where ``csv.reader`` reads the same cells: it has no quote and no
-    other carriage return, no line past the csv field size limit, one parsed
-    row per non-blank line, and no negative or non-finite value but the
-    sentinels.  None hands the block to :func:`_read_rows`.
+    The block is accepted only where ``csv.reader`` reads the same cells:
+    it has no quote and no lone carriage return, no line past the csv field
+    size limit, one parsed row per non-blank line, and no negative or
+    non-finite value but the sentinels.  ``\\n`` and ``\\r\\n`` both end a
+    line.  Blank lines are counted as skipped, and so is a blank income cell
+    in the last column: each line that ends in the delimiter gets the
+    sentinel -1 appended.  None hands the block to :func:`_read_rows`.
     """
-    if "\r" in text:  # replace copies the whole block even where it finds no \r\n
-        text = text.replace("\r\n", "\n")
-    if delimiter in "\r\n" or '"' in text or "\r" in text:
+    if delimiter in "\r\n" or "\ud800" <= delimiter <= "\udfff" or '"' in text:
         return None
-    if not text.endswith("\n"):
-        text += "\n"
-    # line lengths plus one, in UTF-8 bytes (at least the character count);
-    # 1 is a blank line
-    ends = np.flatnonzero(np.frombuffer(text.encode(errors="surrogateescape"), np.uint8) == 10)
-    spans = np.diff(ends, prepend=-1)
-    if spans.max() > csv.field_size_limit() + 1:
-        return None
-    empty = int(np.count_nonzero(spans == 1))
-    rows = spans.size - empty
-    if not rows:  # loadtxt warns on a block with no cells
-        return np.empty(0), empty, spans.size
-    pieces = text.split(delimiter + "\n")
-    blanks = len(pieces) - 1
-    if blanks:
-        text = (delimiter + "-1\n").join(pieces)
-        # loadtxt needs `index` delimiters on every row; this many in all
-        # leaves no more, so each sentinel lands in the income column
-        if text.count(delimiter) != rows * index:
+    data = text.encode(errors="surrogateescape")
+    if not data.endswith(b"\n"):
+        if data.endswith(b"\r"):  # a lone carriage return
             return None
+        data += b"\n"
+    scan = _scan(data, delimiter, index)
+    if scan is None:
+        return None
+    ends, empty, tails = scan
+    if empty == ends.size:  # loadtxt warns on a block with no cells
+        return np.empty(0), empty, ends.size
     try:
-        values = np.loadtxt(io.StringIO(text), delimiter=delimiter, usecols=index,
-                            comments=None, ndmin=1, dtype=float)
+        values = np.loadtxt(itertools.chain.from_iterable(_lines(data, ends, tails)),
+                            delimiter=delimiter, usecols=index, comments=None, ndmin=1, dtype=float)
     except (ValueError, OverflowError):  # a bad cell, or an index past C's
         return None
     negative = values < 0
-    if values.size != rows or np.count_nonzero(negative) != blanks:
+    if values.size != ends.size - empty or np.count_nonzero(negative) != len(tails):
         return None
     values = values[~negative]
     if not np.all(np.isfinite(values)):
         return None
-    return values, blanks + empty, spans.size
+    return values, len(tails) + empty, ends.size
+
+
+def _scan(data, delimiter, index):
+    """``(ends, empty, tails)`` of a block's UTF-8 bytes, or None.
+
+    One ``uint8`` array gives every line's ``\\n`` offset (``ends``), the
+    number of blank lines, and the numbers of the lines that end in the
+    delimiter (``tails``, ascending), matched as its own byte sequence; line
+    numbers are the same in the bytes and in the text.  None where a lone
+    ``\\r`` or a line past the csv field size limit is found, or where the
+    delimiters are not ``index`` per non-blank line although some line ends
+    in one.  Its temporaries are gone before ``np.loadtxt`` runs.
+    """
+    octets = np.frombuffer(data, np.uint8)
+    ends = np.flatnonzero(octets == 10)
+    last = ends - 1  # each line's last byte before its \n or \r\n
+    if b"\r" in data:
+        crlf = octets[last] == 13  # last[0] may be -1, the final \n
+        if np.count_nonzero(octets == 13) != np.count_nonzero(crlf):
+            return None
+        last -= crlf
+    # line lengths in UTF-8 bytes (at least the character count); 0 is a
+    # blank line
+    lengths = last - np.concatenate(([-1], ends[:-1]))
+    if lengths.max() > csv.field_size_limit():
+        return None
+    empty = int(np.count_nonzero(lengths == 0))
+    # the lines that end in the delimiter, matched from its last byte back;
+    # a window that starts before the block takes in its final \n, so it
+    # does not match
+    code = delimiter.encode()
+    tail = octets[last] == code[-1]
+    for k in range(1, len(code)):
+        tail &= octets.take(last - k, mode="wrap") == code[-1 - k]
+    tails = np.flatnonzero(tail).tolist()
+    # loadtxt needs `index` delimiters on every row; this many in all leaves
+    # no more, so each sentinel lands in the income column
+    if tails and _occurrences(octets, code) != (ends.size - empty) * index:
+        return None
+    return ends, empty, tails
+
+
+def _occurrences(octets, code):
+    """How often the bytes ``code`` occur in ``octets``, which ends in a
+    ``\\n`` that ``code`` does not hold.  UTF-8 is self-synchronizing, so each
+    match of a character's whole byte sequence is that character."""
+    if len(code) == 1:
+        return np.count_nonzero(octets == code[0])
+    starts = np.flatnonzero(octets == code[0])
+    for k in range(1, len(code)):
+        starts = starts[octets[starts + k] == code[k]]  # never past the final \n
+    return starts.size
+
+
+def _lines(data, ends, tails):
+    """Lists of the lines of ``data``, ``_LINES`` at a time, with the
+    sentinel -1 appended to each line numbered in ``tails`` (ascending).
+
+    ``ends`` holds the offset of every line's ``\\n``; each list is decoded
+    from its own slice, and a ``\\r`` before a sentinel is dropped.
+    """
+    start, k = 0, 0
+    for first in range(0, ends.size, _LINES):
+        stop = int(ends[min(first + _LINES, ends.size) - 1])
+        lines = data[start:stop].decode(errors="surrogateescape").split("\n")
+        while k < len(tails) and tails[k] < first + _LINES:
+            line = tails[k] - first
+            lines[line] = lines[line].rstrip("\r") + "-1"
+            k += 1
+        yield lines
+        del lines  # before the next list is built
+        start = stop + 1
 
 
 def _read_rows(reader, index, line):

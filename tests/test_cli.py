@@ -12,6 +12,7 @@ import pytest
 from gimtools.cli import main
 
 FIXTURE = "income\n0\n1\n2\n3\n4\n"
+DATA = Path(__file__).parent / "data"
 
 GRID_INI = """\
 [run]
@@ -267,9 +268,31 @@ def test_simulate_default_grid_small(capsys):
 def test_simulate_prints_the_golden_table(capsys):
     # byte for byte: a change that moves a printed digit regenerates
     # tests/data/simulate_reps200_seed1.csv and says so
-    golden = (Path(__file__).parent / "data" / "simulate_reps200_seed1.csv").read_text()
+    golden = (DATA / "simulate_reps200_seed1.csv").read_text()
     assert main(["simulate", "--reps", "200", "--seed", "1", "--format", "csv"]) == 0
     assert capsys.readouterr().out == golden
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        *(pytest.param(["report", "--input", "survey.csv", "--v", "2,3,4", "--ci", "0.95", "--se", se,
+                        "--format", fmt], f"report_survey_{se}.{fmt}", id=f"report_survey_{se}.{fmt}")
+          for se in ("jackknife", "plugin") for fmt in ("csv", "md")),
+        *(pytest.param(["describe", "--input", f"{name}.csv", "--format", fmt], f"describe_{name}.{suffix}",
+                       id=f"describe_{name}.{suffix}")
+          for name in ("survey", "huge", "tiny") for fmt, suffix in (("text", "txt"), ("csv", "csv"))),
+    ],
+)
+def test_report_and_describe_print_the_golden_files(monkeypatch, capsys, argv, golden):
+    # byte for byte, from tests/data: survey.csv has \r\n line ends, blank
+    # lines, blank last-column income cells and a non-ASCII name column;
+    # huge.csv and tiny.csv hold incomes near the float maximum and 1e-10.
+    # A change that moves a printed digit regenerates the golden file and
+    # says so
+    monkeypatch.chdir(DATA)
+    assert main([*argv, "--column", "income"]) == 0
+    assert capsys.readouterr().out == (DATA / golden).read_text(encoding="utf-8")
 
 
 def test_simulate_defaults_come_from_the_simulation_module(monkeypatch):

@@ -213,7 +213,7 @@ NUMBERS = st.one_of(
 SPECIAL_CELLS = [
     "", " ", "  ", "\t", " 7 ", "nan", "NaN", "inf", "-inf", "1e400", "1e-400",
     "0", "-0", "-0.0", "-1", "-2.5", "1_0", "abc", '"5"', '"6,5"', "#5", "5#",
-    "0x10", "+3", '"x,5,y"',
+    "0x10", "+3", '"x,5,y"', "Zoë",
 ]
 
 
@@ -224,7 +224,7 @@ def csv_files(draw):
     Each file mixes numbers with a few special cells and row shapes, so some
     files stay on the fast path and the rest test one hazard at a time.
     """
-    delimiter = draw(st.sampled_from([",", ",", ",", ";", "\t", " "]))
+    delimiter = draw(st.sampled_from([",", ",", ",", ";", "\t", " ", "§"]))
     width = draw(st.integers(min_value=1, max_value=3))
     index = draw(st.integers(min_value=0, max_value=width - 1))
     has_header = draw(st.booleans())
@@ -381,11 +381,34 @@ def test_ingest_error_after_a_block_local_fallback_names_its_line(tmp_path, newl
     assert_same_ingest(path, "income", ",", True)
 
 
-@pytest.mark.parametrize("delimiter", [",", "\n", "\r", '"', "-", "1", "."])
+@pytest.mark.parametrize("delimiter", [",", "\n", "\r", '"', "-", "1", ".", "\udce9"])
 def test_ingest_odd_delimiters_match_csv_reader(tmp_path, delimiter):
+    # a lone surrogate (an undecodable byte) has no UTF-8 bytes of its own,
+    # so the row reader reads it
     text = "".join(f"{k}{delimiter}{cell}\n" for k, cell in enumerate(["5", "", "7.5"]))
-    path = write(tmp_path, "a" + delimiter + "income\n" + text)
+    path = tmp_path / "incomes.csv"
+    path.write_bytes(("a" + delimiter + "income\n" + text).encode(errors="surrogateescape"))
     assert_same_ingest(path, 1, delimiter, True)
+
+
+@pytest.mark.parametrize("repeat", [1, 5000], ids=["one-block", "many-blocks"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("delimiter", [",", "§", "\uff1b"], ids=["comma", "section-sign", "fullwidth-semicolon"])
+def test_ingest_non_ascii_stays_on_the_block_reader(tmp_path, delimiter, newline, repeat):
+    """Non-ASCII names, blank last-column income cells and a delimiter of
+    two or three UTF-8 bytes: the block reader gives csv.reader's values and
+    skipped count, and the row reader is never called."""
+    rows = [["José", "10"], ["Zoë", ""], [], ["Łukasz", "2.5"], ["李娜", ""], ["Zoë", "0"]]
+    lines = [delimiter.join(row) for row in rows] * repeat
+    path = tmp_path / "incomes.csv"
+    path.write_bytes(newline.join(["name" + delimiter + "income", *lines, ""]).encode())
+    if repeat > 1:
+        assert path.stat().st_size > 2 * reporting._BLOCK
+    want = reference_ingest(path, "income", delimiter, True)
+    with mock.patch.object(reporting, "_read_rows", side_effect=AssertionError):
+        result = ingest_csv(path, column="income", delimiter=delimiter)
+    assert result.sample.values.tobytes() == want[0].tobytes()
+    assert result.skipped == want[1] == 3 * repeat
 
 
 def test_ingest_bad_cell_before_undecodable_bytes_reports_line(tmp_path):
