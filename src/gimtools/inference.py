@@ -28,8 +28,8 @@ tracks the true sampling variance closely and is the recommended default.
 Both are reported so the two can be compared side by side.
 
 The jackknife's deviation form, the deletions it takes directly, and its
-two block passes, which keep the bits of one sequential scan and hold one
-length-n array beside the weights, are described in :func:`leave_one_out`.
+two block passes, which hold one length-n array beside the weights, are
+described in :func:`leave_one_out`.
 """
 
 import math
@@ -208,17 +208,17 @@ def _deviations(s, v, kind):
         return np.add.accumulate(terms, out=terms)[-1]
 
     # ascending, with a and b the scaled pair (b bottom-up): into out
-    # B_k = b[k+1] x_k + sum_{j<=k} (b[j] - b[j+1]) x_j, and H = sum a x,
-    # L = sum b x
+    # B_k = b[k+1] x_k + sum_{j<=k} (b[j] - b[j+1]) x_j, and the totals
+    # H = sum a x, L = sum b x, pairwise within each block
     hi = lo = below = above = 0.0
     for start, stop in reversed(blocks):
         t, b, r = load(start, stop, w_lo[::-1], bottom, 0.0, m - start, True)
         own = np.multiply(b[:-1], t, out=out[start:stop])
         below = running(np.multiply(r, own, out=r), below)
-        lo = running(own, lo)
+        lo += np.add.reduce(own)
         np.add(np.multiply(b[1:], t, out=own), r, out=own)
         a = w_hi[start:stop]  # the top block leaves out the top, added below
-        hi = running(np.multiply(a, t[:len(a)], out=r[:len(a)]), hi)
+        hi += np.add.reduce(np.multiply(a, t[:len(a)], out=r[:len(a)]))
     hi += top * math.ldexp(values[m], -exponent)
     theta = float(max(hi - lo, 0.0) / (d := hi + lo))
     # descending: A_k = a[k-1] x_k + sum_{i>=k} (a[i] - a[i-1]) x_i, and in
@@ -278,9 +278,12 @@ def leave_one_out(s, v, kind="ustat"):
     [0.5, 1), so the sums cannot overflow.  One ascending pass writes B
     into the returned array and sums H and L; one descending pass turns it
     into the deviations in place.  Both run over blocks of
-    ``measures._BLOCK`` positions counted from the top, each running sum
-    carried from block to block into the next block's first term, bit for
-    bit one sequential ``np.cumsum``.  Each block's weights, with the one
+    ``measures._BLOCK`` positions counted from the top.  The running sums
+    A_k and B_k are each one sequential scan: a block's first term takes
+    in the previous block's last sum, bit for bit one ``np.cumsum``.  H and
+    L are needed only as totals, so each block's terms are summed pairwise
+    (``np.add.reduce``) and the block totals added bottom block first, the
+    top weight's term last for H.  Each block's weights, with the one
     entry past the build where the block reaches it, are copied into a
     block buffer, so beside the build the returned array is the only
     length-n allocation.

@@ -116,7 +116,8 @@ def subset_weights(n, v):
         top-down, the min side is ``w_max`` itself.
     """
     _check_order(v, n)
-    w_max = np.zeros(n)
+    w_max = np.empty(n)
+    w_max[:v - 1] = 0.0  # the cumulative product below writes the rest
     # w_max[i] = C(i-1, v-1)/C(n, v); stepping i -> i-1 multiplies by (i-v)/(i-1).
     # The tail w_max[v-1:], read top index first, is the running product of
     # v/n and these ratios: entry j >= 1 multiplies by (n-j+1-v)/(n-j).  Each
@@ -203,7 +204,13 @@ def extreme_sums(x, w_hi, w_lo, v):
     e_max = np.sum(scratch, axis=-1)
     if v == 1:
         return e_max, e_max, exponent[..., 0]
-    np.ldexp(x[..., ::-1], -exponent, out=scratch)
+    # The min side is copied reversed into the scratch and scaled there,
+    # forward: np.ldexp over a reversed view runs about six times slower
+    # than forward, far more than the copy costs.  The bits are the same.
+    # A multiply by 2.0**-exponent would overflow where the maximum is
+    # subnormal.
+    np.copyto(scratch, x[..., ::-1])
+    np.ldexp(scratch, -exponent, out=scratch)
     np.multiply(scratch, w_lo, out=scratch)
     return e_max, np.sum(scratch, axis=-1), exponent[..., 0]
 

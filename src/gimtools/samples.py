@@ -81,15 +81,18 @@ def make_sample(raw):
     values = np.asarray(raw, dtype=float).ravel()
     if values.size == 0:
         raise EmptySample("cannot build a sample from zero values")
-    if not np.all(np.isfinite(values)):
-        bad = int(np.flatnonzero(~np.isfinite(values))[0])
-        raise NonFinite(f"non-finite income at position {bad}: {values[bad]!r}")
-    if np.any(values < 0):
+    # two reductions, no whole-sample mask: a NaN fails both comparisons,
+    # silently, and only a failure searches for the culprit
+    if not (values.min() >= 0 and values.max() < np.inf):
+        if not np.all(np.isfinite(values)):
+            bad = int(np.flatnonzero(~np.isfinite(values))[0])
+            raise NonFinite(f"non-finite income at position {bad}: {values[bad]!r}")
         bad = int(np.flatnonzero(values < 0)[0])
         raise NegativeIncome(f"negative income at position {bad}: {values[bad]!r}")
     ordered = np.sort(values)
-    zeros = values[values == 0]
-    ordered[: zeros.size] = zeros
+    if ordered[0] == 0:
+        zeros = values[values == 0]
+        ordered[: zeros.size] = zeros
     return IncomeSample(ordered)
 
 

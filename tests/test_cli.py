@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 from gimtools.cli import main
+from gimtools.distributions import Lognormal, SeededStream, draw_sample
+from gimtools.measures import _BLOCK
 
 FIXTURE = "income\n0\n1\n2\n3\n4\n"
 DATA = Path(__file__).parent / "data"
@@ -293,6 +295,18 @@ def test_report_and_describe_print_the_golden_files(monkeypatch, capsys, argv, g
     monkeypatch.chdir(DATA)
     assert main([*argv, "--column", "income"]) == 0
     assert capsys.readouterr().out == (DATA / golden).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("se", ["jackknife", "plugin"])
+def test_report_past_one_jackknife_block_prints_the_golden_file(monkeypatch, capsys, tmp_path, se):
+    # byte for byte, on a sample three jackknife blocks and 5 incomes long:
+    # survey.csv's 63 rows never reach a second block
+    s = draw_sample(Lognormal(0.0, 1.0), 3 * _BLOCK + 5, SeededStream(32))
+    (tmp_path / "blocks.csv").write_text("income\n" + "".join(f"{x!r}\n" for x in s.values.tolist()))
+    monkeypatch.chdir(tmp_path)
+    argv = ["report", "--input", "blocks.csv", "--column", "income", "--v", "2,3,4", "--ci", "0.95"]
+    assert main([*argv, "--se", se, "--format", "csv"]) == 0
+    assert capsys.readouterr().out == (DATA / f"report_blocks_{se}.csv").read_text(encoding="utf-8")
 
 
 def test_simulate_defaults_come_from_the_simulation_module(monkeypatch):

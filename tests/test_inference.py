@@ -347,6 +347,9 @@ def _jackknife_unblocked(xs, v, kind):
     Test reference for the block sweeps of :func:`leave_one_out`, which must
     add the same terms in the same order and so match it bit for bit: the
     deviation form on the size-n weight pair times c, written out whole.
+    The totals H and L are summed over the sweeps' blocks, counted from the
+    top: ``np.add.reduce`` per block, the block totals added bottom block
+    first, and the top weight's term last for H.
     """
     s = make_sample(xs)
     n, m = s.n, s.n - 1
@@ -365,9 +368,16 @@ def _jackknife_unblocked(xs, v, kind):
         with np.errstate(divide="ignore"):
             return -np.expm1(np.log1p(-1.0 / t) * (v - 1))
 
+    def blockwise(terms):
+        total = 0.0
+        for stop in reversed(range(n, 0, -_BLOCK)):
+            total += np.add.reduce(terms[max(stop - _BLOCK, 0):stop])
+        return total
+
     own = b[:-1] * x
     low = b[1:] * x + np.cumsum(steps(m - i) * own)
-    lo, hi = np.cumsum(own)[-1], np.cumsum(a[1:] * x)[-1]
+    top_terms = a[1:] * x
+    lo, hi = blockwise(own), blockwise(top_terms[:m]) + top_terms[m]
     high = a[:-1] * x + np.cumsum((steps(i + (kind == "edf")) * a[1:] * x)[::-1])[::-1]
     d = hi + lo
     theta = max(hi - lo, 0.0) / d

@@ -65,12 +65,19 @@ def test_make_sample_sorts_and_freezes():
 def test_make_sample_rejects_bad_input():
     with pytest.raises(EmptySample):
         make_sample([])
-    with pytest.raises(NegativeIncome):
-        make_sample([1.0, -0.5])
-    with pytest.raises(NonFinite):
-        make_sample([1.0, np.nan])
-    with pytest.raises(NonFinite):
-        make_sample([1.0, np.inf])
+    # the first non-finite value is named before any negative one
+    for raw, error, position in (
+        ([1.0, -0.5], NegativeIncome, 1),
+        ([1.0, np.nan], NonFinite, 1),
+        ([1.0, np.inf], NonFinite, 1),
+        ([1.0, -0.5, np.nan], NonFinite, 2),
+        ([-np.inf, 2.0], NonFinite, 0),
+        ([3.0, np.inf, -1.0], NonFinite, 1),
+        ([1.0, -0.5, -2.0], NegativeIncome, 1),
+        ([-1e-310, 0.0], NegativeIncome, 0),
+    ):
+        with pytest.raises(error, match=f"at position {position}:"):
+            make_sample(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +106,20 @@ def test_make_sample_is_bitwise_the_stable_sort(xs):
 def test_make_sample_keeps_signed_zeros_in_input_order():
     raw = np.random.default_rng(5).choice([0.0, -0.0, 1.0, 1e-310, 2.0], 20_000)
     assert make_sample(raw).values.tobytes() == np.sort(raw, kind="stable").tobytes()
+
+
+def test_make_sample_of_valid_input_holds_only_the_sorted_copy():
+    # validity is read from two reductions, with no whole-sample mask
+    import tracemalloc
+
+    raw = np.random.default_rng(4).lognormal(0.0, 1.0, 100_000)
+    tracemalloc.start()
+    try:
+        make_sample(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= raw.nbytes + 64 * 1024
 
 
 def test_subset_weights_small_case():
@@ -403,6 +424,53 @@ def test_extreme_sums_batch_rows_match_single_samples(rows, v, kind):
     together = extreme_sums(batch, w_hi, w_lo, v)
     for i, x in enumerate(batch):
         assert [part[i] for part in together] == list(extreme_sums(x, w_hi, w_lo, v))
+
+
+def _extreme_sums_from_the_reversed_view(x, w_hi, w_lo, v):
+    """:func:`extreme_sums` with the min side scaled straight from ``x[..., ::-1]``."""
+    exponent = np.frexp(x[..., -1:])[1]
+    e_max = np.sum(np.ldexp(x, -exponent) * w_hi, axis=-1)
+    if v == 1:
+        return e_max, e_max, exponent[..., 0]
+    return e_max, np.sum(np.ldexp(x[..., ::-1], -exponent) * w_lo, axis=-1), exponent[..., 0]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("v", [1, 2, 3, 7])
+def test_extreme_sums_bit_identical_to_scaling_the_reversed_view(kind, v):
+    # the min side is copied reversed and then scaled in place: the same
+    # bits as scaling the reversed view, on rows near the float maximum and
+    # on subnormal rows, where a factor 2.0**-exponent would overflow
+    n = 1001
+    rng = np.random.default_rng(v)
+    rows = np.sort(np.stack([
+        rng.lognormal(0.0, 1.0, n),
+        np.r_[rng.uniform(0.0, 1e308, n - 1), 1.7e308],
+        rng.uniform(0.0, 1.0, n) * 4e-310,
+        np.full(n, 3.7),
+    ]), axis=1)
+    w_hi, w_lo = extreme_weights(kind, n, v)
+    for x in (*rows, rows):
+        got = extreme_sums(x, w_hi, w_lo, v)
+        expect = _extreme_sums_from_the_reversed_view(x, w_hi, w_lo, v)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expect))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_extreme_sums_holds_one_scratch_array(kind):
+    # one n-float scratch serves both sides: no second length-n copy
+    import tracemalloc
+
+    n = 100_000
+    x = np.sort(np.random.default_rng(9).lognormal(0.0, 1.0, n))
+    w_hi, w_lo = extreme_weights(kind, n, 3)
+    tracemalloc.start()
+    try:
+        extreme_sums(x, w_hi, w_lo, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n + 4096
 
 
 @given(incomes(min_size=3, max_size=20), st.randoms(use_true_random=False))
