@@ -28,8 +28,10 @@ tracks the true sampling variance closely and is the recommended default.
 Both are reported so the two can be compared side by side.
 
 The jackknife's deviation form, the deletions it takes directly, and its
-two block passes, which hold one length-n array beside the weights, are
-described in :func:`leave_one_out`.
+two block passes are described in :func:`leave_one_out`.  Beside the
+weights, ``leave_one_out`` holds only the estimates it returns, and
+``jackknife_variance``, which folds the deviations a block at a time, no
+length-n array at all.
 """
 
 import math
@@ -76,6 +78,12 @@ def _running(a):
     return out
 
 
+def _accumulate_from(terms, carry):
+    """``terms[i] = carry + terms[0] + ... + terms[i]``, in place; returns the last."""
+    terms[0] += carry
+    return np.add.accumulate(terms, out=terms)[-1]
+
+
 def projection_variance(s, v):
     """Plug-in variance of the one-argument projection of the range kernel.
 
@@ -95,7 +103,10 @@ def projection_variance(s, v):
     analytic exponential value 1/3 at v = 2 (g(x) = x + 2 exp(-x) - 1) and
     Monte Carlo.  The sums run on the power-of-two-scaled sample, so they
     cannot overflow; the result reads ``inf``, without a warning, only when
-    the variance itself exceeds the float range.
+    the variance itself exceeds the float range.  Five length-n arrays are
+    alive at most (the scaled sample, g_hat, one power array and the two
+    running sums), and ``np.var``'s mean, centring and squares are taken
+    in place, with the same bits.
 
     Parameters
     ----------
@@ -125,15 +136,21 @@ def _scaled_projection_variance(s, v):
         return 0.0, 0
     x, scale = s.scaled()
     # F_i^e is p[1:] and the survival Fbar_i^e is p[:-1] read top-down
-    p1, p2 = _powers(n, v - 1), _powers(n, v - 2)
-    lead = x * (p1[1:] - p1[:-1][::-1])
-    up = x * p2[1:]
-    down = x * p2[:-1][::-1]
-    # sum over j > i of up[j]; sum over j < i of down[j]
-    tail = _running(up[::-1])[::-1][1:]
-    head = _running(down)[:-1]
-    g_hat = lead + (v - 1) / n * (tail - head)
-    return float(np.var(g_hat, ddof=1)), scale
+    p = _powers(n, v - 1)
+    g_hat = np.subtract(p[1:], p[:-1][::-1])
+    g_hat *= x
+    p = _powers(n, v - 2)
+    # read top-down, tail holds the sums over j > i of x_j p[j + 1], summed
+    # from the top; head[i] the sums over j < i of x_j p[n - 1 - j]
+    tail, head = np.zeros(n + 1), np.zeros(n + 1)
+    np.cumsum(np.multiply(x[::-1], p[:0:-1], out=tail[1:]), out=tail[1:])
+    np.cumsum(np.multiply(x, p[-2::-1], out=head[1:]), out=head[1:])
+    inner = np.subtract(tail[-2::-1], head[:-1], out=head[:-1])
+    inner *= (v - 1) / n
+    g_hat += inner
+    # np.var(g_hat, ddof=1), centred and squared in place
+    g_hat -= np.add.reduce(g_hat) / n
+    return float(np.add.reduce(np.square(g_hat, out=g_hat)) / (n - 1)), scale
 
 
 def ustat_variance(s, v):
@@ -157,13 +174,16 @@ def ustat_variance(s, v):
 
 
 def _deviations(s, v, kind):
-    """``(theta, dev, direct)``: the n delete-1 deviations of GIM(v), in O(n).
+    """``(theta, blocks)``: the n delete-1 deviations of GIM(v), in O(n).
 
-    ``dev[k]`` is theta_{-k} - theta, the estimate with sorted observation k
-    removed minus ``theta``, and ``direct`` maps the deletions taken on
-    their own (see :func:`leave_one_out`) to their estimates.  On a constant
-    sample, and at v = 1, every deletion leaves the same estimate: ``theta``
-    is that estimate and every deviation 0.
+    ``blocks`` yields ``(start, dev, direct)`` over blocks of ``_BLOCK``
+    sorted positions counted from the top, top block first.  ``dev[i]`` is
+    theta_{-k} - theta for k = start + i: the estimate with sorted
+    observation k removed minus ``theta``.  ``direct`` maps the block's
+    deletions taken on their own (see :func:`leave_one_out`) to their
+    estimates.  ``dev`` is a block buffer that the next block overwrites.
+    On a constant sample, and at v = 1, every deletion leaves the same
+    estimate: ``theta`` is that estimate and every deviation 0.
     """
     n, m = s.n, s.n - 1
     if m < v or m < 1:
@@ -172,8 +192,11 @@ def _deviations(s, v, kind):
     if values[-2] == 0.0 < values[-1]:
         raise ZeroMean("GIM undefined for a leave-one-out sample: deleting the only nonzero "
                        "income leaves an all-zero sample")
+    blocks = [(max(stop - _BLOCK, 0), stop) for stop in range(n, 0, -_BLOCK)]
     if v == 1 or values[0] == values[-1]:
-        return _estimate(kind, IncomeSample(values[:m]), v).value, np.zeros(n), {}
+        zeros = np.zeros(min(n, _BLOCK))
+        theta = _estimate(kind, IncomeSample(values[:m]), v).value
+        return theta, ((start, zeros[:stop - start], {}) for start, stop in blocks)
     # The size-n pair times c = n/(n-v) (ustat) or (n/m)**v (edf) is the
     # size-m build and one entry more: the max side's top and the min
     # side's bottom, the same entry for ustat, v/m (the build's) for edf.
@@ -181,70 +204,90 @@ def _deviations(s, v, kind):
     top = v / (n - v) if kind == "ustat" else v / m * (n / m) ** (v - 1)
     bottom = top if kind == "ustat" else v / m
     exponent = math.frexp(values[m])[1]
-    x, step, pad = np.empty((3, min(n, _BLOCK) + 1))
-    blocks = [(max(stop - _BLOCK, 0), stop) for stop in range(n, 0, -_BLOCK)]
-    out = np.empty(n)
+    x, step, pad, low = np.empty((4, min(n, _BLOCK) + 1))
 
     def load(start, stop, core, below, above, first, down):
-        # the block scaled; w[i] = core[start - 1 + i], i = 0..stop - start,
-        # with below at core's index -1 and above at its index m; and
-        # 1 - w[t-1]/w[t], a weight's step over the weight, at t = first -/+ i:
-        # (v-1)/t for ustat, 1 - (1 - 1/t)**(v-1) for edf
-        t = np.ldexp(values[start:stop], -exponent, out=x[:stop - start])
-        w = pad[:len(t) + 1]
+        # w[i] = core[start - 1 + i], i = 0..stop - start, with below at
+        # core's index -1 and above at its index m; and 1 - w[t-1]/w[t], a
+        # weight's step over the weight, at t = first -/+ i: (v-1)/t for
+        # ustat, 1 - (1 - 1/t)**(v-1) for edf
+        size = stop - start
+        w = pad[:size + 1]
         w[0], w[-1] = below, above  # kept where the block reaches past core
-        w[start == 0:len(t) + (stop < n)] = core[max(start - 1, 0):stop]
-        r = (np.subtract if down else np.add)(first, _OFFSETS[:len(t)], out=step[:len(t)])
-        np.maximum(r, 1.0, out=r)  # t = 0 only at an end, where the weight is 0
+        w[start == 0:size + (stop < n)] = core[max(start - 1, 0):stop]
+        r = (np.subtract if down else np.add)(first, _OFFSETS[:size], out=step[:size])
+        if (first - size + 1 if down else first) < 1:
+            np.maximum(r, 1.0, out=r)  # t = 0 only at an end, where the weight is 0
         if kind == "ustat":
-            return t, w, np.divide(v - 1, r, out=r)
+            return w, np.divide(v - 1, r, out=r)
         with np.errstate(divide="ignore"):  # t = 1: log1p(-1) = -inf, the step 1
             np.log1p(np.divide(-1.0, r, out=r), out=r)
-        return t, w, np.negative(np.expm1(np.multiply(r, v - 1, out=r), out=r), out=r)
+        return w, np.negative(np.expm1(np.multiply(r, v - 1, out=r), out=r), out=r)
 
-    def running(terms, carry):
-        # terms[i] = carry + terms[0] + ... + terms[i]; returns the last
-        terms[0] += carry
-        return np.add.accumulate(terms, out=terms)[-1]
+    def rising(start, stop, below):
+        # the block scaled into `x`; with b the scaled min side, bottom-up,
+        # b x over the block into `low`, and r_k = below + sum_{j<=k}
+        # (b[j] - b[j+1]) x_j
+        t = np.ldexp(values[start:stop], -exponent, out=x[:stop - start])
+        b, r = load(start, stop, w_lo[::-1], bottom, 0.0, m - start, True)
+        own = np.multiply(b[:-1], t, out=low[:len(t)])
+        return t, b, r, own, _accumulate_from(np.multiply(r, own, out=r), below)
 
-    # ascending, with a and b the scaled pair (b bottom-up): into out
-    # B_k = b[k+1] x_k + sum_{j<=k} (b[j] - b[j+1]) x_j, and the totals
-    # H = sum a x, L = sum b x, pairwise within each block
-    hi = lo = below = above = 0.0
+    # ascending: the totals H = sum a x and L = sum b x, pairwise within
+    # each block, and the sum that each block's running sums start from;
+    # B_k = b[k+1] x_k + r_k is formed in `low` for the top block only
+    hi = lo = below = 0.0
+    carries = []
     for start, stop in reversed(blocks):
-        t, b, r = load(start, stop, w_lo[::-1], bottom, 0.0, m - start, True)
-        own = np.multiply(b[:-1], t, out=out[start:stop])
-        below = running(np.multiply(r, own, out=r), below)
+        carries.append(below)
+        t, b, r, own, below = rising(start, stop, below)
         lo += np.add.reduce(own)
-        np.add(np.multiply(b[1:], t, out=own), r, out=own)
+        if stop == n:
+            np.add(np.multiply(b[1:], t, out=own), r, out=own)
         a = w_hi[start:stop]  # the top block leaves out the top, added below
         hi += np.add.reduce(np.multiply(a, t[:len(a)], out=r[:len(a)]))
     hi += top * math.ldexp(values[m], -exponent)
-    theta = float(max(hi - lo, 0.0) / (d := hi + lo))
-    # descending: A_k = a[k-1] x_k + sum_{i>=k} (a[i] - a[i-1]) x_i, and in
-    # place of B_k, theta_{-k} - theta = 2 (H B_k - L A_k) / (D (D - A_k - B_k))
-    # with D = H + L.  The deletions that can leave a constant sample, and
-    # those that remove most of the mass, where D - A_k - B_k cancels, are
-    # taken directly instead.
-    direct = {k for k, rest in ((0, values[1:]), (m, values[:m])) if rest[0] == rest[-1]}
-    for start, stop in blocks:
-        t, a, r = load(start, stop, w_hi, 0.0, top, start + (kind == "edf"), False)
-        r *= a[1:]
-        above = running(np.multiply(r, t, out=r)[::-1], above)
-        np.add(np.multiply(a[:-1], t, out=t), r, out=t)
-        dev = out[start:stop]
-        np.subtract(np.subtract(d, t, out=r), dev, out=r)
-        if r.min() < d / 2:
-            far = np.flatnonzero(r < d / 2)
-            direct.update(start + far)
-            r[far] = d
-        dev *= hi
-        dev -= np.multiply(t, lo, out=t)
-        dev /= np.multiply(r, d / 2, out=r)
-    # a deletion from a sorted, valid sample is one too: not validated or sorted again
-    direct = {k: _estimate(kind, IncomeSample(np.delete(values, k)), v).value for k in direct}
-    out[list(direct)] = np.subtract(list(direct.values()), theta)
-    return theta, out, direct
+    theta = float(max(hi - lo, 0.0) / (hi + lo))
+    # the deletions that can leave a constant sample
+    ends = {k for k, rest in ((0, values[1:]), (m, values[:m])) if rest[0] == rest[-1]}
+
+    def descend():
+        # A_k = a[k-1] x_k + sum_{i>=k} (a[i] - a[i-1]) x_i, and in place of
+        # B_k, theta_{-k} - theta = 2 (H B_k - L A_k) / (D (D - A_k - B_k))
+        # with D = H + L.  A lower block's B_k is rebuilt from its carry,
+        # with the same operations as the ascending pass.  The deletions
+        # that remove most of the mass, where D - A_k - B_k cancels, are
+        # taken directly, as are the ends.
+        d = hi + lo
+        above = 0.0
+        for (start, stop), below in zip(blocks, reversed(carries)):
+            if stop < n:
+                t, b, r, dev, _ = rising(start, stop, below)
+                np.add(np.multiply(b[1:], t, out=dev), r, out=dev)
+            else:  # the ascending pass ended on the top block
+                t = x[:stop - start]
+            a, r = load(start, stop, w_hi, 0.0, top, start + (kind == "edf"), False)
+            r *= a[1:]
+            above = _accumulate_from(np.multiply(r, t, out=r)[::-1], above)
+            np.add(np.multiply(a[:-1], t, out=t), r, out=t)
+            dev = low[:stop - start]
+            np.subtract(np.subtract(d, t, out=r), dev, out=r)
+            direct = {k for k in ends if start <= k < stop}
+            if r.min() < d / 2:
+                far = np.flatnonzero(r < d / 2)
+                direct.update(start + far)
+                r[far] = d
+            dev *= hi
+            dev -= np.multiply(t, lo, out=t)
+            dev /= np.multiply(r, d / 2, out=r)
+            # a deletion from a sorted, valid sample is one too: not validated or sorted again
+            direct = {k: _estimate(kind, IncomeSample(np.delete(values, k)), v).value
+                      for k in direct}
+            for k, estimate in direct.items():
+                dev[k - start] = estimate - theta
+            yield start, dev, direct
+
+    return theta, descend()
 
 
 def leave_one_out(s, v, kind="ustat"):
@@ -275,13 +318,16 @@ def leave_one_out(s, v, kind="ustat"):
     running sums of about n terms, minus theta, missed by about 1e-12.
 
     The sample is scaled by the power of two that brings its maximum into
-    [0.5, 1), so the sums cannot overflow.  One ascending pass writes B
-    into the returned array and sums H and L; one descending pass turns it
-    into the deviations in place.  Both run over blocks of
-    ``measures._BLOCK`` positions counted from the top.  The running sums
-    A_k and B_k are each one sequential scan: a block's first term takes
-    in the previous block's last sum, bit for bit one ``np.cumsum``.  H and
-    L are needed only as totals, so each block's terms are summed pairwise
+    [0.5, 1), so the sums cannot overflow.  Two passes run over blocks of
+    ``measures._BLOCK`` positions counted from the top.  The ascending one
+    sums H and L and keeps, per block, the running sum that its B_k start
+    from.  The descending one forms the A_k, rebuilds each lower block's
+    B_k from that carry (the top block's are still in their buffer) and
+    turns the block into deviations while it is in cache.  The running
+    sums A_k and B_k are each one sequential scan: a block's first term
+    takes in the previous block's last sum, bit for bit one ``np.cumsum``,
+    and a rebuilt block repeats the ascending pass's operations.  H and L
+    are needed only as totals, so each block's terms are summed pairwise
     (``np.add.reduce``) and the block totals added bottom block first, the
     top weight's term last for H.  Each block's weights, with the one
     entry past the build where the block reaches it, are copied into a
@@ -305,9 +351,13 @@ def leave_one_out(s, v, kind="ustat"):
         ``out[k]`` is the estimate with sorted observation k removed:
         theta plus its deviation, held to [0, 1].
     """
-    theta, out, direct = _deviations(as_sample(s), v, kind)
-    np.minimum(np.maximum(np.add(out, theta, out=out), 0.0, out=out), 1.0, out=out)
-    out[list(direct)] = list(direct.values())
+    s = as_sample(s)
+    theta, blocks = _deviations(s, v, kind)
+    out = np.empty(s.n)
+    for start, dev, direct in blocks:
+        estimates = np.add(dev, theta, out=out[start:start + len(dev)])
+        np.minimum(np.maximum(estimates, 0.0, out=estimates), 1.0, out=estimates)
+        out[list(direct)] = list(direct.values())
     return out
 
 
@@ -317,11 +367,16 @@ def jackknife_variance(s, v, kind="ustat"):
     variance = (n-1)/n * sum_k (d_k - d_bar)^2 over the n deviations
     d_k = theta_{-k} - theta of the leave-one-out estimates of the chosen
     estimator kind (``"ustat"`` or ``"edf"``) from the full-sample one (see
-    :func:`leave_one_out`); method tag ``"jackknife"``.  The deviations are
-    centred and squared in place, and the O(1) estimate never enters the
-    squares: on spread samples of 40 the variance lies within 2e-15 of
-    exact rational arithmetic, and it is exactly 0 on a constant sample
-    and at v = 1.
+    :func:`leave_one_out`); method tag ``"jackknife"``.  The deviations
+    come a block of ``measures._BLOCK`` at a time, top block first, and
+    are folded as they come: each block is centred on its own mean and
+    squared in place, and its sum of squares joins the blocks above it by
+    Chan, Golub and LeVeque's update, so no length-n array is held beside
+    the weights.  Up to one block that is the two-pass centring of all the
+    deviations, bit for bit.  The O(1) estimate never enters the squares:
+    on spread samples of 40 the variance lies within 2e-15 of exact
+    rational arithmetic, and it is exactly 0 on a constant sample and at
+    v = 1.
 
     Requires n >= max(v+1, 3): the subsamples must support order v, and a
     spread of fewer than 3 leave-one-out values says nothing.
@@ -330,9 +385,22 @@ def jackknife_variance(s, v, kind="ustat"):
     v = _check_order(v)
     if s.n < (least := max(v + 1, 3)):
         raise SampleTooSmall(f"jackknife of order v={v} needs at least {least} observations")
-    dev = _deviations(s, v, kind)[1]
-    dev -= np.mean(dev)
-    variance = (s.n - 1) / s.n * float(np.sum(np.square(dev, out=dev)))
+    count = 0
+    for _, dev, _ in _deviations(s, v, kind)[1]:
+        mean = float(np.mean(dev))
+        dev -= mean
+        squares = float(np.sum(np.square(dev, out=dev)))
+        if count:
+            # Chan, Golub and LeVeque's update of a mean and a centred sum
+            # of squares by another block's
+            total = count + len(dev)
+            delta = mean - centre
+            centre += delta * len(dev) / total
+            spread += squares + delta * delta * (count * len(dev) / total)
+            count = total
+        else:
+            count, centre, spread = len(dev), mean, squares
+    variance = (s.n - 1) / s.n * spread
     return VarianceEstimate(variance, "jackknife", float(np.sqrt(variance)))
 
 

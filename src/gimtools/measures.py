@@ -17,7 +17,10 @@ estimators are provided:
 
 Both are estimates of the same two moments, so each estimator kind is just
 a pair of order-statistic weights (``extreme_weights``), and one summation
-core (``extreme_sums``) serves both estimators; the batched Monte Carlo
+core (``extreme_sums``) serves both estimators.  Its sums have the bits of
+one ``np.sum`` over each whole product vector, but past ``_BLOCK`` values
+it walks numpy's pairwise-summation tree a leaf at a time in one block
+buffer, so it holds no length-n scratch.  The batched Monte Carlo
 harness sums its chunks in the same layout, scaled once in place and
 summed for both kinds at once (the min side through a reversed view, which
 numpy adds in its given order), and the O(n) jackknife sums the same
@@ -179,6 +182,38 @@ def extreme_weights(kind, n, v):
     raise InvalidArgument(f"kind must be one of {KINDS}, got {kind!r}")
 
 
+def _leaf_sums(buffer, x, w, shift, start, stop, reverse):
+    """Sums of ``w * 2**shift * x`` over positions ``start:stop`` of each row.
+
+    ``reverse`` reads ``x`` top-down, the min side.  Runs longer than
+    ``_BLOCK`` split where numpy's pairwise summation splits them: at half
+    their length, rounded down to a multiple of 8.  Each leaf is scaled
+    and multiplied in ``buffer``, and the two halves' sums are added as
+    numpy adds them, so the result has the bits of one ``np.sum`` over the
+    whole product.
+    """
+    size = stop - start
+    if size > _BLOCK:
+        half = size // 2
+        half -= half % 8
+        return (_leaf_sums(buffer, x, w, shift, start, start + half, reverse)
+                + _leaf_sums(buffer, x, w, shift, start + half, stop, reverse))
+    rows = buffer.shape[:-1]  # a contiguous leaf, so each row's sum is numpy's pairwise one
+    leaf = buffer.reshape(-1)[:math.prod(rows) * size].reshape(rows + (size,))
+    n = x.shape[-1]
+    if reverse:
+        # copied reversed, then scaled forward: np.ldexp over a reversed
+        # view runs about six times slower than forward, far more than the
+        # copy costs.  The bits are the same.  A multiply by 2.0**shift
+        # would overflow where the maximum is subnormal.
+        np.copyto(leaf, x[..., n - stop:n - start][..., ::-1])
+        np.ldexp(leaf, shift, out=leaf)
+    else:
+        np.ldexp(x[..., start:stop], shift, out=leaf)
+    np.multiply(leaf, w[start:stop], out=leaf)
+    return np.sum(leaf, axis=-1)
+
+
 def extreme_sums(x, w_hi, w_lo, v):
     """Max/min moment sums over the last axis, sharing one summation layout.
 
@@ -195,24 +230,22 @@ def extreme_sums(x, w_hi, w_lo, v):
     bitwise identical and the estimated range is exactly zero.  At v = 1
     max and min are the same statistic, so the max side is returned for
     both.
+
+    Each sum has the bits of ``np.sum`` over the whole product vector, but
+    no length-n product is formed: rows longer than ``_BLOCK`` are walked
+    down numpy's own pairwise-summation tree (see :func:`_leaf_sums`), and
+    each leaf of at most ``_BLOCK`` values is scaled and multiplied in one
+    block buffer.  A row of at most ``_BLOCK`` values is a single leaf.
     """
     exponent = np.frexp(x[..., -1:])[1]
-    # One scratch array, scaled and multiplied in place: at simulation batch
-    # sizes a fresh temporary per product costs more than the arithmetic.
-    scratch = np.ldexp(x, -exponent)
-    np.multiply(scratch, w_hi, out=scratch)
-    e_max = np.sum(scratch, axis=-1)
+    shift = -exponent
+    # One buffer of at most _BLOCK values per row, scaled and multiplied in
+    # place: a fresh temporary per product costs more than the arithmetic.
+    buffer = np.empty(x.shape[:-1] + (min(x.shape[-1], _BLOCK),))
+    e_max = _leaf_sums(buffer, x, w_hi, shift, 0, x.shape[-1], False)
     if v == 1:
         return e_max, e_max, exponent[..., 0]
-    # The min side is copied reversed into the scratch and scaled there,
-    # forward: np.ldexp over a reversed view runs about six times slower
-    # than forward, far more than the copy costs.  The bits are the same.
-    # A multiply by 2.0**-exponent would overflow where the maximum is
-    # subnormal.
-    np.copyto(scratch, x[..., ::-1])
-    np.ldexp(scratch, -exponent, out=scratch)
-    np.multiply(scratch, w_lo, out=scratch)
-    return e_max, np.sum(scratch, axis=-1), exponent[..., 0]
+    return e_max, _leaf_sums(buffer, x, w_lo, shift, 0, x.shape[-1], True), exponent[..., 0]
 
 
 def gim_ratio(e_max, e_min):

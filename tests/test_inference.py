@@ -91,6 +91,49 @@ def test_projection_variance_permutation_invariant():
     assert a == b
 
 
+def _scaled_projection_variance_whole(s, v):
+    """``inference._scaled_projection_variance`` as the g_hat formula of
+    :func:`projection_variance`, one length-n array per term, and ``np.var``."""
+    n = s.n
+    x, scale = s.scaled()
+    p1 = (np.arange(n + 1, dtype=float) / n) ** (v - 1)
+    p2 = (np.arange(n + 1, dtype=float) / n) ** (v - 2)
+    lead = x * (p1[1:] - p1[:-1][::-1])
+    up = x * p2[1:]
+    down = x * p2[:-1][::-1]
+    tail = np.r_[0.0, np.cumsum(up[::-1])][::-1][1:]
+    head = np.r_[0.0, np.cumsum(down)][:-1]
+    g_hat = lead + (v - 1) / n * (tail - head)
+    return float(np.var(g_hat, ddof=1)), scale
+
+
+@pytest.mark.parametrize("n", [3, 4, 1000, _BLOCK + 1, 100_003])
+def test_projection_variance_bit_identical_to_the_whole_array_formula(n):
+    # the in-place passes add and multiply the same terms in the same order
+    rng = np.random.default_rng(n)
+    for xs in (rng.lognormal(0.0, 1.0, n), rng.pareto(1.2, n) + 1.0, rng.uniform(0.0, 1e300, n)):
+        s = make_sample(xs)
+        for v in (2, 3, 5):
+            if v <= n:
+                got = inference._scaled_projection_variance(s, v)
+                assert got == _scaled_projection_variance_whole(s, v)
+
+
+def test_plugin_variance_holds_five_length_n_arrays():
+    # the scaled sample, g_hat, one power array and the two running sums
+    import tracemalloc
+
+    n = 100_000
+    s = make_sample(np.random.default_rng(6).lognormal(0.0, 1.0, n))
+    tracemalloc.start()
+    try:
+        ustat_variance(s, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 5 * (n + 1) + 4096
+
+
 @pytest.mark.parametrize("v", [2, 3])
 def test_projection_variance_predicts_numerator_spread(v):
     """v^2 sigma1^2 / n tracks the true Var of the estimated E(max-min)."""
@@ -393,6 +436,31 @@ def _jackknife_unblocked(xs, v, kind):
     return estimates, dev
 
 
+def _jackknife_variance_folded(dev):
+    """(n-1)/n times the centred sum of squares of ``dev``, folded block by block.
+
+    Test reference for :func:`jackknife_variance`: each block of ``_BLOCK``
+    positions counted from the top, top block first, is centred on its own
+    mean, and its sum of squares joins the blocks above it through Chan,
+    Golub and LeVeque's update.
+    """
+    n = len(dev)
+    count = 0
+    for stop in range(n, 0, -_BLOCK):
+        block = dev[max(stop - _BLOCK, 0):stop]
+        mean = float(np.mean(block))
+        squares = float(np.sum(np.square(block - mean)))
+        if count:
+            total = count + len(block)
+            delta = mean - centre
+            centre += delta * len(block) / total
+            spread += squares + delta * delta * (count * len(block) / total)
+            count = total
+        else:
+            count, centre, spread = len(block), mean, squares
+    return (n - 1) / n * spread
+
+
 @pytest.mark.parametrize("kind", ["ustat", "edf"])
 @pytest.mark.parametrize(
     "n", [3, 50, 2000, _BLOCK - 1, _BLOCK, _BLOCK + 1, _BLOCK + 2, 2 * _BLOCK + 1, 2 * _BLOCK + 3]
@@ -419,6 +487,19 @@ def test_leave_one_out_bit_identical_across_block_edges(n, kind):
             expect, dev = _jackknife_unblocked(xs, v, kind)
             assert np.array_equal(theta, expect)
             assert theta[-1] == pytest.approx(estimator(s.values[:-1], v).value, rel=1e-12)
+            assert jackknife_variance(s, v, kind).variance == _jackknife_variance_folded(dev)
+
+
+@pytest.mark.parametrize("kind", ["ustat", "edf"])
+@pytest.mark.parametrize("n", [3, 40, 2000, _BLOCK])
+def test_jackknife_variance_in_one_block_is_the_two_pass_centring(n, kind):
+    # up to one block there is nothing to fold: the deviations are centred
+    # on their mean and their squares summed, as one array
+    rng = np.random.default_rng(n)
+    for xs in (rng.lognormal(0.0, 1.0, n), rng.pareto(1.2, n) + 1.0, np.r_[np.full(n - 1, 2.0), 9.0]):
+        s = make_sample(xs)
+        for v in (v for v in (2, 3, 5) if v < n):
+            dev = _jackknife_unblocked(xs, v, kind)[1]
             dev -= np.mean(dev)
             variance = (n - 1) / n * float(np.sum(np.square(dev)))
             assert jackknife_variance(s, v, kind).variance == variance
@@ -514,9 +595,11 @@ def test_jackknife_deviations_match_an_extended_precision_reference(kind):
     # running sums minus the O(1) estimate misses by about 1e-12 here
     for v in (2, 3, 4, 5):
         s = make_sample(np.random.default_rng(100 + v).lognormal(0.0, 1.0, 10**4))
-        _, dev, direct = inference._deviations(s, v, kind)
+        dev = np.empty(s.n)
+        for start, block, direct in inference._deviations(s, v, kind)[1]:
+            dev[start:start + len(block)] = block
+            assert not direct
         ref = _deviations_longdouble(s, v, kind)
-        assert not direct
         assert np.max(np.abs(dev - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -545,8 +628,9 @@ def test_leave_one_out_memory_does_not_depend_on_the_top_binade(kind):
 @pytest.mark.parametrize("kind", ["ustat", "edf"])
 @pytest.mark.parametrize("call", [leave_one_out, jackknife_variance])
 def test_jackknife_holds_one_length_n_array_beside_the_weights(kind, call):
-    # the weights and the returned array are the only length-n allocations;
-    # the rest is block buffers and a few hundred bytes of bookkeeping
+    # the weights, and for leave_one_out the returned array, are the only
+    # length-n allocations; the rest is four block buffers and a few
+    # kilobytes of bookkeeping (closures, the generator, the carries)
     import tracemalloc
 
     n = 4 * _BLOCK
@@ -557,7 +641,8 @@ def test_jackknife_holds_one_length_n_array_beside_the_weights(kind, call):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * (2 * n + 4 * _BLOCK) + 4096
+    returned = n if call is leave_one_out else 0
+    assert peak < 8 * (n + returned + 4 * _BLOCK) + 16384
 
 
 def test_plugin_and_jackknife_se_within_factor_two_on_pinned_samples():

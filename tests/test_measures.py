@@ -427,12 +427,23 @@ def test_extreme_sums_batch_rows_match_single_samples(rows, v, kind):
 
 
 def _extreme_sums_from_the_reversed_view(x, w_hi, w_lo, v):
-    """:func:`extreme_sums` with the min side scaled straight from ``x[..., ::-1]``."""
+    """:func:`extreme_sums` as one ``np.sum`` over each side's whole product,
+    the min side scaled straight from ``x[..., ::-1]``."""
     exponent = np.frexp(x[..., -1:])[1]
     e_max = np.sum(np.ldexp(x, -exponent) * w_hi, axis=-1)
     if v == 1:
         return e_max, e_max, exponent[..., 0]
     return e_max, np.sum(np.ldexp(x[..., ::-1], -exponent) * w_lo, axis=-1), exponent[..., 0]
+
+
+def _assert_rows_and_batch_match_one_sum(rows, kind, v):
+    """Each sorted row alone, and the rows as one batch, sum bit for bit as
+    :func:`_extreme_sums_from_the_reversed_view` does."""
+    w_hi, w_lo = extreme_weights(kind, rows.shape[-1], v)
+    for x in (*rows, rows):
+        got = extreme_sums(x, w_hi, w_lo, v)
+        expect = _extreme_sums_from_the_reversed_view(x, w_hi, w_lo, v)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expect))
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -449,16 +460,28 @@ def test_extreme_sums_bit_identical_to_scaling_the_reversed_view(kind, v):
         rng.uniform(0.0, 1.0, n) * 4e-310,
         np.full(n, 3.7),
     ]), axis=1)
-    w_hi, w_lo = extreme_weights(kind, n, v)
-    for x in (*rows, rows):
-        got = extreme_sums(x, w_hi, w_lo, v)
-        expect = _extreme_sums_from_the_reversed_view(x, w_hi, w_lo, v)
-        assert all(np.array_equal(a, b) for a, b in zip(got, expect))
+    _assert_rows_and_batch_match_one_sum(rows, kind, v)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("v", [1, 2, 3, 7])
+@pytest.mark.parametrize("n", [_BLOCK + 1, 2 * _BLOCK + 7, 3 * _BLOCK + 5, 100_003])
+def test_extreme_sums_past_one_block_bit_identical_to_one_sum(n, v, kind):
+    # rows past _BLOCK are summed leaf by leaf down numpy's pairwise tree:
+    # the same bits as one np.sum over the whole product, so a numpy that
+    # moved its pairwise split would fail here
+    rng = np.random.default_rng(n + v)
+    rows = np.sort(np.stack([
+        rng.lognormal(0.0, 1.0, n),
+        np.r_[rng.uniform(0.0, 1e308, n - 1), 1.7e308],
+        rng.uniform(0.0, 1.0, n) * 4e-310,
+    ]), axis=1)
+    _assert_rows_and_batch_match_one_sum(rows, kind, v)
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_extreme_sums_holds_one_scratch_array(kind):
-    # one n-float scratch serves both sides: no second length-n copy
+    # one block buffer serves both sides and every leaf: no length-n scratch
     import tracemalloc
 
     n = 100_000
@@ -470,7 +493,7 @@ def test_extreme_sums_holds_one_scratch_array(kind):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * n + 4096
+    assert peak < 8 * _BLOCK + 4096
 
 
 @given(incomes(min_size=3, max_size=20), st.randoms(use_true_random=False))

@@ -28,7 +28,7 @@ from gimtools import (
     make_sample,
     report,
 )
-from gimtools import reporting
+from gimtools import measures, reporting
 
 
 # ---------------------------------------------------------------------------
@@ -564,6 +564,23 @@ def test_report_interval_sanity():
         for entry in row.entries:
             assert 0.0 <= entry.ci_low <= entry.value <= entry.ci_high <= 1.0
             assert entry.se_method == method
+
+
+def test_report_holds_the_sample_and_one_weight_build():
+    # past one block: the point estimates sum leaf by leaf in a block buffer
+    # and the jackknife folds its deviations a block at a time, so beside
+    # the sample only one weight build and a few block buffers are alive
+    import tracemalloc
+
+    n = 4 * measures._BLOCK
+    s = make_sample(np.random.default_rng(12).lognormal(0.0, 1.0, n))
+    tracemalloc.start()
+    try:
+        report(s, [2, 3, 4])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (n + 4 * measures._BLOCK) + 16384
 
 
 def test_report_respects_order_list():
