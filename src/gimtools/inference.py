@@ -387,9 +387,10 @@ def jackknife_variance(s, v, kind="ustat"):
         raise SampleTooSmall(f"jackknife of order v={v} needs at least {least} observations")
     count = 0
     for _, dev, _ in _deviations(s, v, kind)[1]:
-        mean = float(np.mean(dev))
+        # np.mean and np.sum, without their wrappers' per-call cost
+        mean = float(np.add.reduce(dev)) / len(dev)
         dev -= mean
-        squares = float(np.sum(np.square(dev, out=dev)))
+        squares = float(np.add.reduce(np.square(dev, out=dev)))
         if count:
             # Chan, Golub and LeVeque's update of a mean and a centred sum
             # of squares by another block's

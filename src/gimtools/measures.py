@@ -198,10 +198,9 @@ def _leaf_sums(buffer, x, w, shift, start, stop, reverse):
         half -= half % 8
         return (_leaf_sums(buffer, x, w, shift, start, start + half, reverse)
                 + _leaf_sums(buffer, x, w, shift, start + half, stop, reverse))
-    rows = buffer.shape[:-1]  # a contiguous leaf, so each row's sum is numpy's pairwise one
-    leaf = buffer.reshape(-1)[:math.prod(rows) * size].reshape(rows + (size,))
-    n = x.shape[-1]
+    leaf = buffer[..., :size]
     if reverse:
+        n = x.shape[-1]
         # copied reversed, then scaled forward: np.ldexp over a reversed
         # view runs about six times slower than forward, far more than the
         # copy costs.  The bits are the same.  A multiply by 2.0**shift
@@ -211,7 +210,7 @@ def _leaf_sums(buffer, x, w, shift, start, stop, reverse):
     else:
         np.ldexp(x[..., start:stop], shift, out=leaf)
     np.multiply(leaf, w[start:stop], out=leaf)
-    return np.sum(leaf, axis=-1)
+    return np.add.reduce(leaf, axis=-1)
 
 
 def extreme_sums(x, w_hi, w_lo, v):
