@@ -173,7 +173,7 @@ def ustat_variance(s, v):
     )
 
 
-def _deviations(s, v, kind):
+def _deviations(s, v, kind, out=None):
     """``(theta, blocks)``: the n delete-1 deviations of GIM(v), in O(n).
 
     ``blocks`` yields ``(start, dev, direct)`` over blocks of ``_BLOCK``
@@ -181,9 +181,12 @@ def _deviations(s, v, kind):
     theta_{-k} - theta for k = start + i: the estimate with sorted
     observation k removed minus ``theta``.  ``direct`` maps the block's
     deletions taken on their own (see :func:`leave_one_out`) to their
-    estimates.  ``dev`` is a block buffer that the next block overwrites.
-    On a constant sample, and at v = 1, every deletion leaves the same
-    estimate: ``theta`` is that estimate and every deviation 0.
+    estimates.  Given a length-n ``out``, ``dev`` is ``out[start:stop]``,
+    where the ascending pass keeps every block's B_k; without one, ``dev``
+    is a block buffer that the next block overwrites, and each lower
+    block's B_k is rebuilt from its carry.  On a constant sample, and at
+    v = 1, every deletion leaves the same estimate: ``theta`` is that
+    estimate and every deviation 0.
     """
     n, m = s.n, s.n - 1
     if m < v or m < 1:
@@ -193,10 +196,16 @@ def _deviations(s, v, kind):
         raise ZeroMean("GIM undefined for a leave-one-out sample: deleting the only nonzero "
                        "income leaves an all-zero sample")
     blocks = [(max(stop - _BLOCK, 0), stop) for stop in range(n, 0, -_BLOCK)]
+    low = np.empty(min(n, _BLOCK) + 1) if out is None else None
+
+    def held(start, stop):
+        # where a block's B_k, and then its deviations, are kept
+        return low[:stop - start] if out is None else out[start:stop]
+
     if v == 1 or values[0] == values[-1]:
-        zeros = np.zeros(min(n, _BLOCK))
+        (low if out is None else out).fill(0.0)
         theta = _estimate(kind, IncomeSample(values[:m]), v).value
-        return theta, ((start, zeros[:stop - start], {}) for start, stop in blocks)
+        return theta, ((start, held(start, stop), {}) for start, stop in blocks)
     # The size-n pair times c = n/(n-v) (ustat) or (n/m)**v (edf) is the
     # size-m build and one entry more: the max side's top and the min
     # side's bottom, the same entry for ustat, v/m (the build's) for edf.
@@ -204,7 +213,7 @@ def _deviations(s, v, kind):
     top = v / (n - v) if kind == "ustat" else v / m * (n / m) ** (v - 1)
     bottom = top if kind == "ustat" else v / m
     exponent = math.frexp(values[m])[1]
-    x, step, pad, low = np.empty((4, min(n, _BLOCK) + 1))
+    x, step, pad = np.empty((3, min(n, _BLOCK) + 1))
 
     def load(start, stop, core, below, above, first, down):
         # w[i] = core[start - 1 + i], i = 0..stop - start, with below at
@@ -216,8 +225,7 @@ def _deviations(s, v, kind):
         w[0], w[-1] = below, above  # kept where the block reaches past core
         w[start == 0:size + (stop < n)] = core[max(start - 1, 0):stop]
         r = (np.subtract if down else np.add)(first, _OFFSETS[:size], out=step[:size])
-        if (first - size + 1 if down else first) < 1:
-            np.maximum(r, 1.0, out=r)  # t = 0 only at an end, where the weight is 0
+        np.maximum(r, 1.0, out=r)  # t = 0 only at an end, where the weight is 0
         if kind == "ustat":
             return w, np.divide(v - 1, r, out=r)
         with np.errstate(divide="ignore"):  # t = 1: log1p(-1) = -inf, the step 1
@@ -226,23 +234,24 @@ def _deviations(s, v, kind):
 
     def rising(start, stop, below):
         # the block scaled into `x`; with b the scaled min side, bottom-up,
-        # b x over the block into `low`, and r_k = below + sum_{j<=k}
-        # (b[j] - b[j+1]) x_j
+        # b x over the block where its B_k are kept, and r_k = below +
+        # sum_{j<=k} (b[j] - b[j+1]) x_j
         t = np.ldexp(values[start:stop], -exponent, out=x[:stop - start])
         b, r = load(start, stop, w_lo[::-1], bottom, 0.0, m - start, True)
-        own = np.multiply(b[:-1], t, out=low[:len(t)])
+        own = np.multiply(b[:-1], t, out=held(start, stop))
         return t, b, r, own, _accumulate_from(np.multiply(r, own, out=r), below)
 
     # ascending: the totals H = sum a x and L = sum b x, pairwise within
     # each block, and the sum that each block's running sums start from;
-    # B_k = b[k+1] x_k + r_k is formed in `low` for the top block only
+    # B_k = b[k+1] x_k + r_k is formed for every block into `out`, else for
+    # the top block only
     hi = lo = below = 0.0
     carries = []
     for start, stop in reversed(blocks):
         carries.append(below)
         t, b, r, own, below = rising(start, stop, below)
         lo += np.add.reduce(own)
-        if stop == n:
+        if stop == n or out is not None:
             np.add(np.multiply(b[1:], t, out=own), r, out=own)
         a = w_hi[start:stop]  # the top block leaves out the top, added below
         hi += np.add.reduce(np.multiply(a, t[:len(a)], out=r[:len(a)]))
@@ -254,23 +263,25 @@ def _deviations(s, v, kind):
     def descend():
         # A_k = a[k-1] x_k + sum_{i>=k} (a[i] - a[i-1]) x_i, and in place of
         # B_k, theta_{-k} - theta = 2 (H B_k - L A_k) / (D (D - A_k - B_k))
-        # with D = H + L.  A lower block's B_k is rebuilt from its carry,
-        # with the same operations as the ascending pass.  The deletions
-        # that remove most of the mass, where D - A_k - B_k cancels, are
-        # taken directly, as are the ends.
+        # with D = H + L.  Without `out`, a lower block's B_k is rebuilt
+        # from its carry, with the same operations as the ascending pass.
+        # The deletions that remove most of the mass, where D - A_k - B_k
+        # cancels, are taken directly, as are the ends.
         d = hi + lo
         above = 0.0
         for (start, stop), below in zip(blocks, reversed(carries)):
-            if stop < n:
-                t, b, r, dev, _ = rising(start, stop, below)
-                np.add(np.multiply(b[1:], t, out=dev), r, out=dev)
-            else:  # the ascending pass ended on the top block
+            dev = held(start, stop)
+            if stop == n:  # the ascending pass ended on the top block
                 t = x[:stop - start]
+            elif out is None:
+                t, b, r, _, _ = rising(start, stop, below)
+                np.add(np.multiply(b[1:], t, out=dev), r, out=dev)
+            else:
+                t = np.ldexp(values[start:stop], -exponent, out=x[:stop - start])
             a, r = load(start, stop, w_hi, 0.0, top, start + (kind == "edf"), False)
             r *= a[1:]
             above = _accumulate_from(np.multiply(r, t, out=r)[::-1], above)
             np.add(np.multiply(a[:-1], t, out=t), r, out=t)
-            dev = low[:stop - start]
             np.subtract(np.subtract(d, t, out=r), dev, out=r)
             direct = {k for k in ends if start <= k < stop}
             if r.min() < d / 2:
@@ -320,13 +331,11 @@ def leave_one_out(s, v, kind="ustat"):
     The sample is scaled by the power of two that brings its maximum into
     [0.5, 1), so the sums cannot overflow.  Two passes run over blocks of
     ``measures._BLOCK`` positions counted from the top.  The ascending one
-    sums H and L and keeps, per block, the running sum that its B_k start
-    from.  The descending one forms the A_k, rebuilds each lower block's
-    B_k from that carry (the top block's are still in their buffer) and
-    turns the block into deviations while it is in cache.  The running
-    sums A_k and B_k are each one sequential scan: a block's first term
-    takes in the previous block's last sum, bit for bit one ``np.cumsum``,
-    and a rebuilt block repeats the ascending pass's operations.  H and L
+    sums H and L and writes the B_k into the returned array; the
+    descending one forms the A_k and turns each block of B_k into
+    deviations in place while it is in cache.  The running sums A_k and
+    B_k are each one sequential scan: a block's first term takes in the
+    previous block's last sum, bit for bit one ``np.cumsum``.  H and L
     are needed only as totals, so each block's terms are summed pairwise
     (``np.add.reduce``) and the block totals added bottom block first, the
     top weight's term last for H.  Each block's weights, with the one
@@ -352,11 +361,10 @@ def leave_one_out(s, v, kind="ustat"):
         theta plus its deviation, held to [0, 1].
     """
     s = as_sample(s)
-    theta, blocks = _deviations(s, v, kind)
     out = np.empty(s.n)
-    for start, dev, direct in blocks:
-        estimates = np.add(dev, theta, out=out[start:start + len(dev)])
-        np.minimum(np.maximum(estimates, 0.0, out=estimates), 1.0, out=estimates)
+    theta, blocks = _deviations(s, v, kind, out)
+    for _, dev, direct in blocks:
+        np.minimum(np.maximum(np.add(dev, theta, out=dev), 0.0, out=dev), 1.0, out=dev)
         out[list(direct)] = list(direct.values())
     return out
 

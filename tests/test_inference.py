@@ -461,6 +461,23 @@ def _jackknife_variance_folded(dev):
     return (n - 1) / n * spread
 
 
+def _jackknife_variance_two_pass(dev):
+    """(n-1)/n times the centred sum of squares of ``dev``, as one array."""
+    return (len(dev) - 1) / len(dev) * float(np.sum(np.square(dev - np.mean(dev))))
+
+
+def _jackknife_variance_fsum(dev):
+    """(n-1)/n times the centred sum of squares of ``dev``, with ``math.fsum``.
+
+    The mean and the sum of squares are correctly rounded, so each square
+    carries its own few roundings only: an independent reference within
+    about 3e-16 relative of exact arithmetic on ``dev``.
+    """
+    n = len(dev)
+    centred = dev - math.fsum(dev) / n
+    return (n - 1) / n * math.fsum(centred * centred)
+
+
 @pytest.mark.parametrize("kind", ["ustat", "edf"])
 @pytest.mark.parametrize(
     "n", [3, 50, 2000, _BLOCK - 1, _BLOCK, _BLOCK + 1, _BLOCK + 2, 2 * _BLOCK + 1, 2 * _BLOCK + 3]
@@ -487,7 +504,13 @@ def test_leave_one_out_bit_identical_across_block_edges(n, kind):
             expect, dev = _jackknife_unblocked(xs, v, kind)
             assert np.array_equal(theta, expect)
             assert theta[-1] == pytest.approx(estimator(s.values[:-1], v).value, rel=1e-12)
-            assert jackknife_variance(s, v, kind).variance == _jackknife_variance_folded(dev)
+            variance = jackknife_variance(s, v, kind).variance
+            assert variance == _jackknife_variance_folded(dev)
+            # and against references that do not fold: the correctly
+            # rounded centring, and the two-pass centring of one array,
+            # which past one block differs from the fold in the last bits
+            assert variance == pytest.approx(_jackknife_variance_fsum(dev), rel=1e-15)
+            assert variance == pytest.approx(_jackknife_variance_two_pass(dev), rel=2e-15)
 
 
 @pytest.mark.parametrize("kind", ["ustat", "edf"])
@@ -500,9 +523,26 @@ def test_jackknife_variance_in_one_block_is_the_two_pass_centring(n, kind):
         s = make_sample(xs)
         for v in (v for v in (2, 3, 5) if v < n):
             dev = _jackknife_unblocked(xs, v, kind)[1]
-            dev -= np.mean(dev)
-            variance = (n - 1) / n * float(np.sum(np.square(dev)))
-            assert jackknife_variance(s, v, kind).variance == variance
+            assert jackknife_variance(s, v, kind).variance == _jackknife_variance_two_pass(dev)
+
+
+@pytest.mark.parametrize("kind", ["ustat", "edf"])
+@pytest.mark.parametrize("n", [_BLOCK + 1, 2 * _BLOCK + 3, 3 * _BLOCK + 5])
+def test_jackknife_variance_past_one_block_is_the_centred_sum_of_squares(n, kind):
+    # the fold's update weights against a reference that does not fold; a
+    # sample of one income apart is where the two-pass centring of all the
+    # deviations strays most (1.3e-15 from exact at n = _BLOCK + 1, edf,
+    # v = 3, where the fold is 2.2e-16 off)
+    rng = np.random.default_rng(n)
+    apart = np.full(n, 2.0)
+    apart[0] = 1.0
+    for xs in (rng.lognormal(0.0, 1.0, n), rng.pareto(1.2, n) + 1.0, apart):
+        s = make_sample(xs)
+        for v in (2, 3, 5):
+            dev = _jackknife_unblocked(xs, v, kind)[1]
+            variance = jackknife_variance(s, v, kind).variance
+            assert variance == pytest.approx(_jackknife_variance_fsum(dev), rel=1e-15)
+            assert variance == pytest.approx(_jackknife_variance_two_pass(dev), rel=2e-15)
 
 
 def _jackknife_exact(xs, v, kind):
@@ -629,8 +669,10 @@ def test_leave_one_out_memory_does_not_depend_on_the_top_binade(kind):
 @pytest.mark.parametrize("call", [leave_one_out, jackknife_variance])
 def test_jackknife_holds_one_length_n_array_beside_the_weights(kind, call):
     # the weights, and for leave_one_out the returned array, are the only
-    # length-n allocations; the rest is four block buffers and a few
-    # kilobytes of bookkeeping (closures, the generator, the carries)
+    # length-n allocations; the rest is block buffers (three, and a fourth
+    # for jackknife_variance's deviations) and bookkeeping: a few hundred
+    # bytes, and for jackknife_variance some kilobytes more for the
+    # generator that hands it the blocks and the helpers it closes over
     import tracemalloc
 
     n = 4 * _BLOCK
@@ -641,8 +683,10 @@ def test_jackknife_holds_one_length_n_array_beside_the_weights(kind, call):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    returned = n if call is leave_one_out else 0
-    assert peak < 8 * (n + returned + 4 * _BLOCK) + 16384
+    if call is leave_one_out:
+        assert peak < 8 * (2 * n + 4 * _BLOCK) + 4096
+    else:
+        assert peak < 8 * (n + 4 * _BLOCK) + 16384
 
 
 def test_plugin_and_jackknife_se_within_factor_two_on_pinned_samples():
