@@ -376,8 +376,9 @@ def jackknife_variance(s, v, kind="ustat"):
     d_k = theta_{-k} - theta of the leave-one-out estimates of the chosen
     estimator kind (``"ustat"`` or ``"edf"``) from the full-sample one (see
     :func:`leave_one_out`); method tag ``"jackknife"``.  The deviations
-    come a block of ``measures._BLOCK`` at a time, top block first, and
-    are folded as they come: each block is centred on its own mean and
+    come a block of ``measures._BLOCK`` at a time, top block first, each
+    lower block's B_k rebuilt from the running sum that it starts from,
+    and are folded as they come: each block is centred on its own mean and
     squared in place, and its sum of squares joins the blocks above it by
     Chan, Golub and LeVeque's update, so no length-n array is held beside
     the weights.  Up to one block that is the two-pass centring of all the

@@ -670,9 +670,8 @@ def test_leave_one_out_memory_does_not_depend_on_the_top_binade(kind):
 def test_jackknife_holds_one_length_n_array_beside_the_weights(kind, call):
     # the weights, and for leave_one_out the returned array, are the only
     # length-n allocations; the rest is block buffers (three, and a fourth
-    # for jackknife_variance's deviations) and bookkeeping: a few hundred
-    # bytes, and for jackknife_variance some kilobytes more for the
-    # generator that hands it the blocks and the helpers it closes over
+    # for jackknife_variance's deviations) and about 6 KB of bookkeeping,
+    # the generator that hands out the blocks and the helpers it closes over
     import tracemalloc
 
     n = 4 * _BLOCK
